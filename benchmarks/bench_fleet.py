@@ -4,8 +4,8 @@ Sweeps the request routers (round_robin, least_backlog, difficulty_aware)
 over heterogeneous fleet compositions and load patterns, fanning all cells
 concurrently through the engine's EvaluationService (results keyed into the
 persistent ResultCache under the ``fleet`` namespace when ``--cache-dir``
-is set).  ``--engine`` picks the fleet dispatch core (block-routed
-``indexed`` or the scalar ``reference`` loop — bit-identical reports
+is set).  ``--engine`` picks the fleet dispatch core (the ``indexed``
+event loop or the scalar ``reference`` loop — bit-identical reports
 either way).  Emits a JSON report and asserts the PR's acceptance contract: in
 every bursty cell the difficulty-aware router matches-or-beats round-robin
 on p95 latency at equal-or-lower fleet energy — and strictly beats it

@@ -16,11 +16,9 @@ point); its throughput is per-batch work and therefore scale-independent,
 so the speedup contract compares the indexed engine's largest run against
 the reference engine's largest feasible run.
 
-Fleet rows now sweep the same engine axis: every fleet × scale cell runs
-the block-routed ``FleetSimulator(engine="indexed")`` dispatch core, the
-scalar ``engine="reference"`` loop up to ``--reference-cap``, and one
-``--steal`` variant at the largest scale (measured, but outside the
-identity contract by design).
+Fleet rows sweep the same engine axis: every fleet × scale cell runs the
+per-arrival ``FleetSimulator(engine="indexed")`` event loop and the scalar
+``engine="reference"`` loop up to ``--reference-cap``.
 
 Contracts (asserted):
 
@@ -28,17 +26,17 @@ Contracts (asserted):
   × the reference engine's largest feasible run (10× full, 3× smoke);
 - fleet: indexed req/s at the largest fleet scale ≥ ``--fleet-floor`` ×
   the reference fleet loop's largest feasible run (1.25× full, 1.1×
-  smoke — block routing is bit-identical, so the floor is honest wall
-  clock, not a vector-vs-Python cliff; measured ≈1.5× at 10⁶);
+  smoke — the indexed loop is bit-identical, so the floor is honest wall
+  clock, not a vector-vs-Python cliff);
 - identity: both engines produce full-field-equal ``FleetReport``s on a
   shared probe cell;
 - memory: peak RSS over the whole grid stays under ``--rss-ceiling``
   (no full-trace ``tolist`` materialization).
 
 Both engines serve every request they are offered.  The JSON payload
-embeds a ``fleet.*`` counter rollup (blocks, block-size histogram,
-steals) from a separate observed run, so the dispatch shape ships with
-the numbers.
+embeds a ``fleet.*`` counter rollup (route calls, batch-size histogram,
+governor decisions) from a separate observed run, so the dispatch shape
+ships with the numbers.
 
 Run directly::
 
@@ -129,8 +127,7 @@ def run_single(spec: ServingSpec, scale: int, engine: str, seed: int) -> dict:
 
 
 def _fleet_spec(
-    platforms: tuple[str, ...], scale: int, seed: int, engine: str, steal: bool,
-    **extra,
+    platforms: tuple[str, ...], scale: int, seed: int, engine: str, **extra
 ) -> FleetSpec:
     """A fleet spec provisioned so the trace carries ``scale`` requests."""
     probe = FleetSpec(platforms=platforms, duration_s=1.0, seed=seed, **extra)
@@ -140,7 +137,6 @@ def _fleet_spec(
         duration_s=scale / fleet_rate,
         seed=seed,
         engine=engine,
-        steal=steal,
         **extra,
     )
 
@@ -151,10 +147,9 @@ def run_fleet(
     scale: int,
     engine: str,
     seed: int,
-    steal: bool = False,
 ) -> dict:
     """One fleet cell at ``scale`` total requests across ``platforms``."""
-    spec = _fleet_spec(platforms, scale, seed, engine, steal)
+    spec = _fleet_spec(platforms, scale, seed, engine)
     stacks = build_fleet_stacks(spec)
     t0 = time.perf_counter()
     trace, stream = build_fleet_trace_and_stream(spec, stacks)
@@ -163,10 +158,9 @@ def run_fleet(
     t0 = time.perf_counter()
     report = simulator.run(trace, stream)
     wall_s = time.perf_counter() - t0
-    if not steal:
-        assert report.num_served == report.num_requests, "unbounded fleet dropped work"
+    assert report.num_served == report.num_requests, "unbounded fleet dropped work"
     return {
-        "engine": engine + ("+steal" if steal else ""),
+        "engine": engine,
         "fleet": name,
         "platforms": list(platforms),
         "requests": report.num_requests,
@@ -176,7 +170,6 @@ def run_fleet(
         "rss_mb": peak_rss_mb(),
         "p95_ms": report.latency_ms_p95,
         "total_energy_j": report.total_energy_j,
-        "num_stolen": report.num_stolen,
     }
 
 
@@ -186,7 +179,7 @@ def check_fleet_identity(
     """Run both engines on one shared (trace, stream) cell; full-field compare."""
     reports = {}
     for engine in ("reference", "indexed"):
-        spec = _fleet_spec(platforms, scale, seed, engine, steal=False)
+        spec = _fleet_spec(platforms, scale, seed, engine)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
         reports[engine] = FleetSimulator(spec, stacks).run(trace, stream)
@@ -200,18 +193,17 @@ def check_fleet_identity(
 def fleet_counter_rollup(
     platforms: tuple[str, ...], scale: int, seed: int
 ) -> dict:
-    """One observed indexed run (with stealing armed) under a live recorder.
+    """One observed indexed run under a live recorder.
 
     Separate from the timed rows so recorder overhead never lands in the
-    throughput contract; surfaces ``fleet.blocks``, the ``fleet.block_size``
-    histogram and ``fleet.steals`` next to the numbers, bench_dynamic_eval
-    style.
+    throughput contract; surfaces ``fleet.blocks`` (one per routed
+    arrival), the ``fleet.batch_size`` histogram and governor decisions
+    next to the numbers, bench_dynamic_eval style.
     """
-    # round_robin + bursty load is the configuration where stealing earns its
-    # keep: the load-blind router builds imbalance the governor-horizon thief
-    # then drains (backlog-aware routers self-balance and rarely steal).
+    # round_robin + bursty load: the load-blind router builds per-lane
+    # imbalance, so batch sizes and governor decisions spread widely.
     spec = _fleet_spec(
-        platforms, scale, seed, "indexed", steal=True,
+        platforms, scale, seed, "indexed",
         pattern="bursty", utilization=0.95, router="round_robin",
     )
     stacks = build_fleet_stacks(spec)
@@ -302,11 +294,6 @@ def main(argv: list[str] | None = None) -> int:
                 if engine == "reference" and scale > reference_cap:
                     continue
                 emit(run_fleet(name, platforms, scale, engine, args.seed))
-    # One stealing row per fleet at the largest scale: measured, but kept out
-    # of the speedup contract — stealing departs from the reference semantics.
-    for name, platforms in fleets.items():
-        emit(run_fleet(name, platforms, fleet_scales[-1], "indexed",
-                       args.seed, steal=True))
 
     identity = check_fleet_identity(
         next(iter(fleets.values())), identity_scale, args.seed

@@ -96,11 +96,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="what happens past the cap (fleet runs are drop-only)")
     parser.add_argument("--engine", default="indexed",
                         choices=list(ENGINE_NAMES),
-                        help="fleet dispatch core: block-routed 'indexed' or "
-                             "the scalar 'reference' loop (bit-identical)")
-    parser.add_argument("--steal", action="store_true",
-                        help="fleet work stealing at governor horizons "
-                             "(indexed engine only; departs from reference)")
+                        help="fleet dispatch core: the 'indexed' event loop "
+                             "or the scalar 'reference' loop (bit-identical)")
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--executor", default="auto",
                         choices=["auto", "serial", "thread", "process"])
@@ -139,8 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     ):
         if args.fleet is not None:
             return _serve_fleet(parser, args, design)
-        if args.steal:
-            parser.error("--steal needs a fleet (use --fleet)")
         return _serve_single(parser, args, design)
 
 
@@ -236,7 +231,6 @@ def _serve_fleet(parser, args, design) -> int:
                 critical_fraction=args.critical_fraction,
                 admission_max_queue=args.admission_queue,
                 engine=args.engine,
-                steal=args.steal,
             )
             for router in routers
         ]

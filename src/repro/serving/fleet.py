@@ -93,7 +93,7 @@ from repro.serving.workload import (
 from repro.utils.validation import check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
-FLEET_CELL_VERSION = "3"
+FLEET_CELL_VERSION = "4"
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ class FleetSpec:
     critical_fraction: float = 0.0  # share of latency-critical arrivals
     admission_max_queue: int | None = None  # per-lane cap; None = unbounded
     admission_critical_bypass: bool = True
-    engine: str = "indexed"  # "indexed" (block-routed) or "reference"
-    steal: bool = False  # work-stealing re-routing (indexed engine only)
+    engine: str = "indexed"  # "indexed" (per-arrival event loop) or "reference"
 
     def __post_init__(self):
         if not self.platforms:
@@ -158,11 +157,6 @@ class FleetSpec:
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; valid: {ENGINE_NAMES}"
-            )
-        if self.steal and self.engine != "indexed":
-            raise ValueError(
-                "work stealing needs the indexed engine: the reference loop "
-                "is the executable specification and takes no extensions"
             )
 
     def device_spec(self, platform: str, rate_hz: float | None = None) -> ServingSpec:
@@ -228,8 +222,6 @@ class DeviceTelemetry:
     peak_temperature_c: float = 0.0
     critical_requests: int = 0  # latency-critical requests served here
     num_dropped: int = 0  # admission drops at this lane's door
-    stolen_in: int = 0  # queued requests migrated onto this lane (steal)
-    stolen_out: int = 0  # queued requests migrated off this lane (steal)
 
 
 @dataclass(frozen=True)
@@ -275,7 +267,6 @@ class FleetReport:
     num_deferred: int = 0  # always 0: fleet admission is drop-only
     drop_rate: float = 0.0
     class_stats: dict[str, dict] = field(default_factory=dict)  # per SLO class
-    num_stolen: int = 0  # queued requests migrated between lanes (steal)
 
     @property
     def met_slo_rate(self) -> float:
@@ -334,8 +325,6 @@ class DeviceLane:
         self.governor_decisions = 0
         self.critical_requests = 0
         self.num_dropped = 0
-        self.stolen_in = 0
-        self.stolen_out = 0
         self.config_usage: dict[str, int] = {}
         self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
 
@@ -403,15 +392,8 @@ class DeviceLane:
         routed = self._routed_times
         n = len(routed)
         # Observation instants are monotone per lane, so the window's left
-        # edge only moves right: resume the bisect at the last cursor.  A
-        # tail rollback can strand the cursor past valid ground — the sorted
-        # book makes that a single comparison to detect, then redo in full.
-        lo = self._rate_cursor
-        if lo > n:
-            lo = n
-        if lo > 0 and routed[lo - 1] >= window_start:
-            lo = 0
-        lo = bisect_left(routed, window_start, lo)
+        # edge only moves right: resume the bisect at the last cursor.
+        lo = bisect_left(routed, window_start, self._rate_cursor)
         self._rate_cursor = lo
         if n and routed[n - 1] <= now_s:
             hi = n
@@ -469,48 +451,6 @@ class DeviceLane:
         self._popped += size
         self._crit_popped = crit_popped
         return start, batch
-
-    # ------------------------------------------------------- work stealing
-    def steal_tail(self, limit: int, slo_class) -> list[int]:
-        """Pop up to ``limit`` best-effort requests off the queue tail.
-
-        The queue tail is the only place all four parallel per-lane books
-        (``_queue``, ``_queue_arrivals``, ``_admitted_times``,
-        ``request_indices``) stay aligned, so tail pops keep every sorted
-        invariant and the dispatched-prefix counters untouched.  Stops at
-        the first latency-critical entry from the tail — criticals stay
-        where admission placed them.  Returns the stolen request indices in
-        their original FIFO order.
-        """
-        stolen: list[int] = []
-        queue = self._queue
-        while len(stolen) < limit and queue:
-            index = queue[-1]
-            if slo_class is not None and slo_class[index] == LATENCY_CRITICAL:
-                break
-            queue.pop()
-            self._queue_arrivals.pop()
-            self._admitted_times.pop()
-            self.request_indices.pop()
-            stolen.append(index)
-        stolen.reverse()
-        self.stolen_out += len(stolen)
-        return stolen
-
-    def receive_stolen(self, indices: list[int], now_s: float) -> None:
-        """Adopt stolen requests, re-stamped as arriving at the steal instant.
-
-        Re-stamping keeps every arrival book sorted (``now_s`` is the
-        current simulated time, ≥ every recorded arrival) and makes the
-        batcher treat migrations like fresh arrivals; latency telemetry
-        still measures from the original trace arrival.
-        """
-        for index in indices:
-            self._queue.append(index)
-            self._queue_arrivals.append(now_s)
-            self._admitted_times.append(now_s)
-            self.request_indices.append(index)
-        self.stolen_in += len(indices)
 
     # ---------------------------------------------------------- config state
     def profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
@@ -731,10 +671,9 @@ class FleetSimulator:
         """The original per-request loop — the executable specification.
 
         Every routing, admission, batching and governor decision here is
-        the contract the indexed engine must reproduce bit-for-bit (with
-        stealing off).  Arrival columns convert to Python floats lazily,
-        one chunk at a time, instead of materialising three full
-        million-entry lists upfront.
+        the contract the indexed engine must reproduce bit-for-bit.  Arrival
+        columns convert to Python floats lazily, one chunk at a time,
+        instead of materialising three full million-entry lists upfront.
         """
         n = trace.num_requests
         battery_spent = 0.0
@@ -845,34 +784,25 @@ class FleetSimulator:
         correct: np.ndarray,
         battery_budget: float | None,
     ) -> FleetReport:
-        """Block-routed fleet loop: bit-identical reports, one block at a time.
+        """Per-arrival fleet event loop: bit-identical reports, flat lane state.
 
-        Between two fleet dispatch horizons no lane's queue drains, so
-        every routing decision in that window sees lane state that only
-        changes through the block's own pushes — which is exactly what the
-        router block kernels model.  The loop therefore:
-
-        * takes the next **arrival block** — all arrivals up to the
-          earliest pending batch start (the horizon) — and routes it in one
-          :meth:`~repro.serving.router.FleetRouter.route_block` call;
-        * applies the routed pushes while watching for a **mid-block
-          violation**: a push that creates a batch trigger earlier than a
-          later in-block arrival (only a *new* trigger can do that — old
-          pendings sit at or past the horizon).  The block truncates at the
-          violating arrival, the tail is re-routed after the dispatch it
-          conflicted with, and the scalar dispatch order is preserved
-          exactly;
-        * drains through a **lazy min-heap** of (pending start, lane)
-          entries instead of scanning every lane per request: every pending
-          change pushes an entry, stale entries are skipped on pop.
+        Each arrival routes through one
+        :meth:`~repro.serving.router.FleetRouter.route_block` call on a
+        one-element slice against a :class:`BlockLaneState` that mirrors the
+        live lane depths and device-free times (admission is the same
+        queue-depth check the reference makes per arrival).  The fleet then
+        drains every batch that dispatches before the next arrival through a
+        **lazy min-heap** of (pending start, lane) entries instead of
+        scanning every lane per request: a lane's entry is re-pushed only
+        when its pending start changes, and entries that no longer match
+        the lane's pending start are skipped on pop.  The heap's tuple order
+        — ascending start, ties on lane index — is the reference scan's
+        dispatch order.
 
         Dispatch pricing goes through
         :meth:`~repro.serving.simulator._CompiledConfig.price_indices` (the
         same Python-float tables as the single-device span engine), and
-        completion/correctness scatters happen once at the end.  With
-        ``spec.steal`` set, governor decisions on an unloaded lane may
-        migrate queued best-effort requests off a stalled lane — the one
-        intentional (opt-in) departure from reference behavior.
+        completion/correctness scatters happen once at the end.
         """
         n = trace.num_requests
         lanes = self.lanes
@@ -887,30 +817,29 @@ class FleetSimulator:
         t_free = state.t_free
         depth = state.depth
         route_block = router.route_block
-        rollback = router.rollback
         begin_block = state.begin_block
 
         times_np = trace.arrival_s
         difficulty_np = trace.difficulty
         any_crit = trace.num_critical > 0
-        slo_class_arr = trace.slo_class if any_crit else None
+        slo_class_np = trace.slo_class
 
         recorder = tracing.active()
         observe = self._observe
         window_s = self.window_s
         emergency = self.emergency_backlog
         switch_cost = self.switch_cost_j
-        steal_on = self.spec.steal
         battery_spent = 0.0
         battery_exhausted = False
         has_battery = battery_budget is not None
-        num_stolen = 0
 
         heap: list[tuple[float, int]] = []
         heap_push = heappush
         heap_pop = heappop
         br = bisect_right
         inf = float("inf")
+        # The start each lane's newest heap entry carries (inf: empty queue).
+        pend = [inf] * num_lanes
 
         # Per-lane hot state as parallel lists indexed by lane: one list
         # lookup replaces two attribute hops everywhere the per-request
@@ -967,17 +896,8 @@ class FleetSimulator:
         # Exit tallies as plain int lists; folded into the numpy meters once.
         exit_lists = [[0] * len(lane.exit_counts) for lane in lanes]
 
-        # Per-block violation tracking, epoch-stamped so nothing is reset
-        # between blocks: count/expiry/filled only mean something for lanes
-        # whose epoch matches the current block.
-        lane_epoch = [0] * num_lanes
-        blk_count = [0] * num_lanes
-        blk_expiry = [0.0] * num_lanes
-        blk_filled = [False] * num_lanes
-        epoch = 0
-
         def dispatch(li: int, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted, num_stolen
+            nonlocal battery_spent, battery_exhausted
             lane = lanes[li]
             thermal = thermals[li]
             if thermal is not None and start > clocks[li]:
@@ -1000,10 +920,6 @@ class FleetSimulator:
                 if recorder is not None:
                     recorder.count("fleet.governor_decisions")
                 next_decision[li] = start + window_s
-                if steal_on:
-                    num_stolen += self._try_steal(
-                        lane, start, state, heap, slo_class_arr, recorder
-                    )
             active = configs[li]
             if thermal is not None and thermal.throttled:
                 active = lane.coolest  # hardware throttle overrides the policy
@@ -1056,6 +972,7 @@ class FleetSimulator:
             t_free[li] = end
             depth[li] = len(queues[li])
             nbatch_acc[li] += 1
+            # The popped heap entry is spent: always push the new pending.
             qa = qarrs[li]
             if qa:
                 expiry = qa[0] + timeout[li]
@@ -1065,273 +982,110 @@ class FleetSimulator:
                     trigger = t if t <= expiry else expiry
                 else:
                     trigger = expiry
-                heap_push(heap, (end if end > trigger else trigger, li))
-
-        # Speculative block cap.  Routing past a mid-block violation is wasted
-        # work that gets rolled back, so the cap tracks the accepted block
-        # size actually observed: it halves toward what survives and doubles
-        # when a full block goes through clean.  Without it, an empty heap
-        # (horizon = inf) would route the entire remaining chunk only to
-        # truncate at the first push's timeout trigger — quadratic.
-        cap = 16
-        chunk = 65536
-        chunk_lo = 0
-        chunk_hi = 0
-        a_chunk: list[float] = []
-        d_chunk: list[float] = []
-        c_chunk: list[int] | None = None
-        i = 0
-        while i < n:
-            if i >= chunk_hi:
-                chunk_lo = i
-                chunk_hi = min(i + chunk, n)
-                a_chunk = times_np[chunk_lo:chunk_hi].tolist()
-                d_chunk = difficulty_np[chunk_lo:chunk_hi].tolist()
-                if any_crit:
-                    c_chunk = slo_class_arr[chunk_lo:chunk_hi].tolist()
-            # The horizon: earliest pending batch start across lanes.  The
-            # unvalidated heap top is a *lower bound* on the true horizon
-            # (every pending change pushed its then-true start; pendings
-            # only move later afterwards), and ending a block early is
-            # always exact — the extra drain in between is a no-op — so the
-            # bound serves without the validation walk.
-            horizon = heap[0][0] if heap else inf
-            rel = i - chunk_lo
-            if horizon == inf:
-                j = chunk_hi
+                nxt = end if end > trigger else trigger
+                pend[li] = nxt
+                heap_push(heap, (nxt, li))
             else:
-                j = chunk_lo + br(a_chunk, horizon, rel, chunk_hi - chunk_lo)
-                if j <= i:
-                    j = i + 1  # unreachable: pendings sit at/past arrival[i]
-            if j - i > cap:
-                j = i + cap
-            jrel = j - chunk_lo
-            a_blk = a_chunk[rel:jrel]
-            d_blk = d_chunk[rel:jrel]
-            c_blk = c_chunk[rel:jrel] if any_crit else None
+                pend[li] = inf
 
-            if bounded:
-                begin_block()
-            assignments, admitted = route_block(d_blk, c_blk, a_blk, state)
-
-            size = len(a_blk)
-            accepted = size
-            if size == 1:
-                # Single-request block: no later in-block arrival exists, so
-                # no violation is possible — push and refresh the lane's
-                # pending without the block-tracking machinery.
-                arrival = a_blk[0]
+        # Arrival columns convert lazily per chunk: same Python floats as a
+        # full .tolist(), without ~24 MB of boxed floats resident at 10⁶.
+        chunk = 65536
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            a_chunk = times_np[lo:hi].tolist()
+            d_chunk = difficulty_np[lo:hi].tolist()
+            c_chunk = slo_class_np[lo:hi].tolist() if any_crit else None
+            last = hi - lo - 1
+            for k in range(hi - lo):
+                arrival = a_chunk[k]
+                if bounded:
+                    begin_block()
+                assignments, admitted = route_block(
+                    d_chunk[k : k + 1],
+                    c_chunk[k : k + 1] if any_crit else None,
+                    a_chunk[k : k + 1],
+                    state,
+                )
+                if recorder is not None:
+                    recorder.count("fleet.blocks")
+                    recorder.observe("fleet.block_size", 1)
                 li = assignments[0]
+                routed_append[li](arrival)
                 if admitted[0]:
+                    i = lo + k
                     q_append[li](i)
                     qa_append[li](arrival)
                     adm_append[li](arrival)
-                    routed_append[li](arrival)
                     ridx_append[li](i)
-                    if any_crit and c_blk[0] == LATENCY_CRITICAL:
+                    if any_crit and c_chunk[k] == LATENCY_CRITICAL:
                         lane = lanes[li]
                         lane._crit_times.append(arrival)
                         lane.critical_requests += 1
+                    # A push moves the pending start only when it seeds an
+                    # empty queue (timeout trigger) or fills a full batch.
                     qa = qarrs[li]
-                    expiry = qa[0] + timeout[li]
+                    size = len(qa)
                     mb = max_batch[li]
-                    if len(qa) >= mb:
-                        t = qa[mb - 1]
-                        trigger = t if t <= expiry else expiry
-                    else:
-                        trigger = expiry
-                    tf = t_free[li]
-                    heap_push(heap, (tf if tf > trigger else trigger, li))
+                    if size == 1 or size == mb:
+                        expiry = qa[0] + timeout[li]
+                        if size >= mb:
+                            t = qa[mb - 1]
+                            trigger = t if t <= expiry else expiry
+                        else:
+                            trigger = expiry
+                        tf = t_free[li]
+                        start = tf if tf > trigger else trigger
+                        if start != pend[li]:
+                            pend[li] = start
+                            heap_push(heap, (start, li))
                 else:
-                    routed_append[li](arrival)
                     lanes[li].num_dropped += 1
-            elif min(t_free) >= a_blk[size - 1]:
-                # Violation-free block: every lane is busy past the last
-                # arrival, so every pending — max(t_free, trigger) — lands
-                # at or after every in-block arrival.  No mid-block dispatch
-                # is possible and the pushes are pure appends.
-                epoch += 1
-                touched = []
-                t_append = touched.append
-                for m in range(size):
-                    arrival = a_blk[m]
-                    li = assignments[m]
-                    if admitted[m]:
-                        q_append[li](i + m)
-                        qa_append[li](arrival)
-                        adm_append[li](arrival)
-                        routed_append[li](arrival)
-                        ridx_append[li](i + m)
-                        if any_crit and c_blk[m] == LATENCY_CRITICAL:
-                            lane = lanes[li]
-                            lane._crit_times.append(arrival)
-                            lane.critical_requests += 1
-                        if lane_epoch[li] != epoch:
-                            lane_epoch[li] = epoch
-                            t_append(li)
-                    else:
-                        routed_append[li](arrival)
-                        lanes[li].num_dropped += 1
-                if size == cap and cap < chunk:
-                    cap <<= 1
-                for lx in touched:
-                    qa = qarrs[lx]
-                    if qa:
-                        expiry = qa[0] + timeout[lx]
-                        mb = max_batch[lx]
-                        if len(qa) >= mb:
-                            t = qa[mb - 1]
-                            trigger = t if t <= expiry else expiry
-                        else:
-                            trigger = expiry
-                        tf = t_free[lx]
-                        heap_push(heap, (tf if tf > trigger else trigger, lx))
-            else:
-                min_pend = inf
-                epoch += 1
-                touched: list[int] = []
-                for m in range(size):
-                    arrival = a_blk[m]
-                    li = assignments[m]
-                    if admitted[m]:
-                        # Track whether this push creates a batch trigger that
-                        # lands before a later in-block arrival (a violation).
-                        # Runs before the appends: the live queue length at a
-                        # lane's first touch IS its depth at the block start.
-                        if lane_epoch[li] != epoch:
-                            lane_epoch[li] = epoch
-                            touched.append(li)
-                            q0 = len(queues[li])
-                            mb = max_batch[li]
-                            if q0 >= mb:
-                                blk_filled[li] = True  # trigger set by old queue
-                            else:
-                                blk_filled[li] = False
-                                blk_count[li] = q0 + 1
-                                expiry = (
-                                    qarrs[li][0] if q0 else arrival
-                                ) + timeout[li]
-                                blk_expiry[li] = expiry
-                                if q0 == 0:
-                                    # Empty lane: this push *sets* the timeout
-                                    # trigger (was None before).
-                                    tf = t_free[li]
-                                    pend = tf if tf > expiry else expiry
-                                    if pend < min_pend:
-                                        min_pend = pend
-                                if q0 + 1 >= mb and arrival <= expiry:
-                                    blk_filled[li] = True
-                                    tf = t_free[li]
-                                    pend = tf if tf > arrival else arrival
-                                    if pend < min_pend:
-                                        min_pend = pend
-                        elif not blk_filled[li]:
-                            count = blk_count[li] + 1
-                            blk_count[li] = count
-                            if count >= max_batch[li]:
-                                blk_filled[li] = True
-                                if arrival <= blk_expiry[li]:
-                                    # Full-batch trigger moved up to this fill.
-                                    tf = t_free[li]
-                                    pend = tf if tf > arrival else arrival
-                                    if pend < min_pend:
-                                        min_pend = pend
-                        q_append[li](i + m)
-                        qa_append[li](arrival)
-                        adm_append[li](arrival)
-                        routed_append[li](arrival)
-                        ridx_append[li](i + m)
-                        if any_crit and c_blk[m] == LATENCY_CRITICAL:
-                            lane = lanes[li]
-                            lane._crit_times.append(arrival)
-                            lane.critical_requests += 1
-                    else:
-                        routed_append[li](arrival)
-                        lanes[li].num_dropped += 1
-                    if m + 1 < size and min_pend < a_blk[m + 1]:
-                        accepted = m + 1  # a dispatch lands mid-block: truncate
-                        break
 
-                if accepted < size:
-                    rollback(size - accepted)
-                    for lx in range(num_lanes):
-                        depth[lx] = len(queues[lx])
-                    cap = accepted + (accepted >> 1) + 1
-                elif size == cap and cap < chunk:
-                    cap <<= 1
-                for lx in touched:
-                    qa = qarrs[lx]
-                    if qa:
-                        expiry = qa[0] + timeout[lx]
-                        mb = max_batch[lx]
-                        if len(qa) >= mb:
-                            t = qa[mb - 1]
-                            trigger = t if t <= expiry else expiry
-                        else:
-                            trigger = expiry
-                        tf = t_free[lx]
-                        heap_push(heap, (tf if tf > trigger else trigger, lx))
-            if recorder is not None:
-                recorder.count("fleet.blocks")
-                recorder.observe("fleet.block_size", accepted)
-
-            i += accepted
-            if i >= n:
-                until = inf
-            elif i < chunk_hi:
-                until = a_chunk[i - chunk_lo]
-            else:
-                until = float(times_np[i])
-            # Drain: pop-validate-dispatch until the next arrival.  Same
-            # dispatch order as the reference scan — ascending start, ties on
-            # lane index — via the heap's tuple ordering.  Entries validate
-            # lazily: every pending change pushed one, so a mismatch with the
-            # lane's current pending start means "stale, skip".
-            while heap:
-                start, li = heap[0]
-                if start >= until:
-                    break
-                heap_pop(heap)
-                qa = qarrs[li]
-                if not qa:
-                    continue
-                expiry = qa[0] + timeout[li]
-                mb = max_batch[li]
-                if len(qa) >= mb:
-                    t = qa[mb - 1]
-                    trigger = t if t <= expiry else expiry
+                if k < last:
+                    until = a_chunk[k + 1]
+                elif hi < n:
+                    until = float(times_np[hi])
                 else:
-                    trigger = expiry
-                tf = t_free[li]
-                if (tf if tf > trigger else trigger) != start:
-                    continue
-                # Form the batch at its dispatch instant: arrival-ordered
-                # prefix, opportunistic fill up to the start (same two-trigger
-                # semantics as DeviceLane.next_ready_batch, inlined).
-                bsize = 0
-                for arrival in qa:
-                    if bsize >= mb or arrival > start:
+                    until = inf
+                # Drain: dispatch every batch that starts before the next
+                # arrival, skipping entries whose lane pending has moved.
+                while heap:
+                    start, li = heap[0]
+                    if start >= until:
                         break
-                    bsize += 1
-                q = queues[li]
-                batch = [q.popleft() for _ in range(bsize)]
-                if any_crit:
-                    lane = lanes[li]
-                    crit_times = lane._crit_times
-                    crit_popped = lane._crit_popped
-                    for _ in range(bsize):
-                        arrival = qa.popleft()
-                        if (
-                            crit_popped < len(crit_times)
-                            and crit_times[crit_popped] <= arrival
-                        ):
-                            crit_popped += 1
-                    lane._crit_popped = crit_popped
-                else:
-                    for _ in range(bsize):
-                        qa.popleft()
-                popped[li] += bsize
-                dispatch(li, start, batch)
+                    heap_pop(heap)
+                    if pend[li] != start:
+                        continue
+                    # Form the batch at its dispatch instant: arrival-ordered
+                    # prefix, opportunistic fill up to the start (same
+                    # two-trigger semantics as DeviceLane.next_ready_batch).
+                    qa = qarrs[li]
+                    mb = max_batch[li]
+                    bsize = 0
+                    for t in qa:
+                        if bsize >= mb or t > start:
+                            break
+                        bsize += 1
+                    q = queues[li]
+                    batch = [q.popleft() for _ in range(bsize)]
+                    if any_crit:
+                        lane = lanes[li]
+                        crit_times = lane._crit_times
+                        crit_popped = lane._crit_popped
+                        for _ in range(bsize):
+                            t = qa.popleft()
+                            if (
+                                crit_popped < len(crit_times)
+                                and crit_times[crit_popped] <= t
+                            ):
+                                crit_popped += 1
+                        lane._crit_popped = crit_popped
+                    else:
+                        for _ in range(bsize):
+                            qa.popleft()
+                    popped[li] += bsize
+                    dispatch(li, start, batch)
 
         # Fold the hot-state accumulators back into the lane objects.
         for li, lane in enumerate(lanes):
@@ -1362,74 +1116,7 @@ class FleetSimulator:
             correct[idx] = compiled.correct[idx]
 
         return self._report(trace, completion, correct, battery_budget,
-                            battery_spent, battery_exhausted,
-                            num_stolen=num_stolen)
-
-    def _try_steal(
-        self,
-        thief: DeviceLane,
-        now_s: float,
-        state: BlockLaneState,
-        heap: list[tuple[float, int]],
-        slo_class,
-        recorder,
-    ) -> int:
-        """Opportunistic work stealing at a governor horizon (indexed only).
-
-        When the lane that just re-decided has comfortable headroom
-        (estimated wait under half the SLO) and some other lane is stalled
-        past the SLO, up to one batch of queued *best-effort* requests
-        migrates from the stalled lane's queue tail to the thief,
-        re-stamped as arriving now.  Returns how many requests moved.
-        """
-        t_free = state.t_free
-        depth = state.depth
-        capacity = state.capacity
-        li = thief.index
-        residual = t_free[li] - now_s
-        thief_wait = (residual if residual > 0.0 else 0.0) + depth[li] / capacity[li]
-        if thief_wait > 0.5 * self.slo_s:
-            return 0
-        victim = None
-        worst = self.slo_s  # a lane must be stalled *past* the SLO to rob
-        for lane in self.lanes:
-            other = lane.index
-            if other == li:
-                continue
-            residual = t_free[other] - now_s
-            wait = (residual if residual > 0.0 else 0.0) + depth[other] / capacity[other]
-            if wait > worst:
-                worst = wait
-                victim = lane
-        if victim is None:
-            return 0
-        limit = min(victim.queue_depth // 2, thief.stack.batch_policy.max_batch)
-        if limit <= 0:
-            return 0
-        stolen = victim.steal_tail(limit, slo_class)
-        if not stolen:
-            return 0
-        thief.receive_stolen(stolen, now_s)
-        moved = len(stolen)
-        vi = victim.index
-        depth[vi] = len(victim._queue)
-        depth[li] = len(thief._queue)
-        for lane in (victim, thief):
-            lx = lane.index
-            qa = lane._queue_arrivals
-            if qa:
-                policy = lane.stack.batch_policy
-                expiry = qa[0] + policy.timeout_s
-                mb = policy.max_batch
-                if len(qa) >= mb and qa[mb - 1] <= expiry:
-                    trigger = qa[mb - 1]
-                else:
-                    trigger = expiry
-                tf = t_free[lx]
-                heappush(heap, (tf if tf > trigger else trigger, lx))
-        if recorder is not None:
-            recorder.count("fleet.steals", moved)
-        return moved
+                            battery_spent, battery_exhausted)
 
     # -------------------------------------------------------------- telemetry
     def _report(
@@ -1440,7 +1127,6 @@ class FleetSimulator:
         battery_budget: float | None,
         battery_spent: float,
         battery_exhausted: bool,
-        num_stolen: int = 0,
     ) -> FleetReport:
         n = trace.num_requests
         arrivals = trace.arrival_s
@@ -1480,8 +1166,6 @@ class FleetSimulator:
                     peak_temperature_c=lane.thermal.peak_c if lane.thermal is not None else 0.0,
                     critical_requests=lane.critical_requests,
                     num_dropped=lane.num_dropped,
-                    stolen_in=lane.stolen_in,
-                    stolen_out=lane.stolen_out,
                 )
             )
 
@@ -1530,7 +1214,6 @@ class FleetSimulator:
             class_stats=class_latency_stats(
                 trace.slo_class, SLO_CLASSES, arrivals, completion, self.slo_s
             ),
-            num_stolen=num_stolen,
         )
 
 

@@ -26,19 +26,13 @@ Three policies:
   the least-loaded lane early enough to keep their deadline headroom.
 
 Every router also exposes a **block kernel**, :meth:`FleetRouter.route_block`:
-given a whole arrival block — a run of consecutive requests between two
-fleet dispatch horizons, over which no lane's queue can drain — it returns
-the same lane assignments the scalar :meth:`route` loop would make, one
-request at a time, against a :class:`BlockLaneState` snapshot that tracks
-within-block queue growth.  Round-robin is arithmetic modulo cycling;
-least-backlog re-evaluates the drain estimate per request off the snapshot
-lists (the estimate changes with every admitted push); difficulty-aware
-screens the whole block against a conservative wait bound and, when no
-request can possibly spill, assigns the precomputed capacity bands in one
-`searchsorted` — falling back to per-request stepping only when a spill is
-actually reachable.  Admission (queue-depth cap + critical bypass) is folded
-into the same pass because later routing decisions depend on which earlier
-requests were actually admitted.
+given a run of consecutive arrivals over which no lane's queue drains, it
+returns the same lane assignments the scalar :meth:`route` loop would make,
+one request at a time, against a :class:`BlockLaneState` snapshot of plain
+per-lane lists that tracks the run's own queue growth.  Admission
+(queue-depth cap + critical bypass) is folded into the same pass because
+later routing decisions depend on which earlier requests were actually
+admitted.  The indexed fleet engine calls it once per arrival.
 
 Everything is deterministic: ties break on lane index.
 """
@@ -49,16 +43,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from repro.serving.workload import LATENCY_CRITICAL
 
 #: Router names accepted by :func:`make_router` (CLI/bench vocabulary).
 ROUTER_NAMES = ("round_robin", "least_backlog", "difficulty_aware")
-
-#: Block size above which the banded kernel switches from a bisect loop to
-#: one vectorized ``np.searchsorted`` (small blocks are cheaper in Python).
-_VECTOR_BLOCK = 32
 
 
 class LaneState(Protocol):
@@ -139,15 +127,8 @@ class BlockLaneState:
         """
         depth = self.depth
         if self.max_queue is None:
-            if len(lane_indices) >= _VECTOR_BLOCK:
-                counts = np.bincount(
-                    np.asarray(lane_indices, dtype=np.int64), minlength=len(depth)
-                ).tolist()
-                for l in range(len(depth)):
-                    depth[l] += counts[l]
-            else:
-                for l in lane_indices:
-                    depth[l] += 1
+            for l in lane_indices:
+                depth[l] += 1
             return [True] * len(lane_indices)
         space = self.space
         positions = self.positions
@@ -202,14 +183,6 @@ class FleetRouter:
         """
         raise NotImplementedError
 
-    def rollback(self, count: int) -> None:
-        """Undo router-internal state for ``count`` discarded assignments.
-
-        When the caller truncates a routed block (a dispatch landed
-        mid-block), the tail assignments are re-routed later and any
-        router cursor must rewind.  Stateless routers need nothing.
-        """
-
 
 class RoundRobinRouter(FleetRouter):
     """Cyclic assignment, blind to state, difficulty and class."""
@@ -236,9 +209,6 @@ class RoundRobinRouter(FleetRouter):
         self._next = start + len(arrival)
         assignments = [(start + k) % num for k in range(len(arrival))]
         return assignments, state.admit(assignments, slo_class)
-
-    def rollback(self, count: int) -> None:
-        self._next -= count
 
 
 class LeastBacklogRouter(FleetRouter):
@@ -332,9 +302,6 @@ class DifficultyAwareRouter(FleetRouter):
         self._bands: list[_Band] = []
         self._edges: list[float] = []
         self._band_lanes: list[int] = []
-        self._edges_arr: np.ndarray | None = None
-        self._band_lanes_arr: np.ndarray | None = None
-        self._screen_backoff = 0
         self._build_bands(lanes)
 
     def _build_bands(self, lanes: Sequence[LaneState]) -> None:
@@ -351,8 +318,6 @@ class DifficultyAwareRouter(FleetRouter):
         self._bands[-1].hi = 1.0 + 1e-9  # difficulty == 1.0 lands in the last band
         self._edges = [band.lo for band in self._bands]
         self._band_lanes = [band.lane_index for band in self._bands]
-        self._edges_arr = np.asarray(self._edges)
-        self._band_lanes_arr = np.asarray(self._band_lanes, dtype=np.int64)
         self._lane_seq = lanes
         self._lane_sig = tuple(id(lane) for lane in lanes)
 
@@ -405,49 +370,8 @@ class DifficultyAwareRouter(FleetRouter):
         depth = state.depth
         capacity = state.capacity
         num = len(depth)
-        size = len(arrival)
         threshold_be = self.spill_fraction * self.slo_s
         has_critical = slo_class is not None and LATENCY_CRITICAL in slo_class
-        # The tightest spill threshold any request in this block could use.
-        min_threshold = threshold_be * 0.5 if has_critical else threshold_be
-
-        # Conservative no-spill screen: within the block a lane's wait is at
-        # most its residual at the block head plus its fully-grown queue, so
-        # if every lane's bound clears the tightest threshold, no request
-        # can spill and the whole block is a pure band lookup.  Under
-        # sustained backlog the screen fails every block, so a miss backs it
-        # off (the screen is an upper-bound shortcut either way — skipping
-        # it never changes the routing, only the cost of deciding it).
-        if self._screen_backoff > 0:
-            self._screen_backoff -= 1
-            spill_free = False
-        else:
-            first = arrival[0]
-            spill_free = True
-            for l in range(num):
-                r = t_free[l] - first
-                bound = (r if r > 0.0 else 0.0) + (depth[l] + size) / capacity[l]
-                if bound > min_threshold:
-                    spill_free = False
-                    self._screen_backoff = 32
-                    break
-        if spill_free:
-            edges = self._edges
-            band_lanes = self._band_lanes
-            if size >= _VECTOR_BLOCK:
-                slots = np.searchsorted(
-                    self._edges_arr, np.asarray(difficulty), side="right"
-                ) - 1
-                # Negative slot (difficulty below every edge) falls back to
-                # the last band, matching :meth:`banded_lane`.
-                assignments = self._band_lanes_arr[slots].tolist()
-            else:
-                assignments = [
-                    band_lanes[bisect_right(edges, d) - 1] for d in difficulty
-                ]
-            return assignments, state.admit(assignments, slo_class)
-
-        # Spill reachable: per-request stepping (identical to scalar route).
         edges = self._edges
         band_lanes = self._band_lanes
         bounded = state.max_queue is not None
@@ -458,27 +382,6 @@ class DifficultyAwareRouter(FleetRouter):
         admitted = []
         asg_append = assignments.append
         adm_append = admitted.append
-        if not has_critical and not bounded:
-            # Hot path: one threshold, everything admitted.
-            for m, now in enumerate(arrival):
-                chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
-                r = t_free[chosen] - now
-                w = (r if r > 0.0 else 0.0) + depth[chosen] / capacity[chosen]
-                if w > threshold_be:
-                    r = t_free[0] - now
-                    best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
-                    best = 0
-                    for l in range(1, num):
-                        r = t_free[l] - now
-                        w = (r if r > 0.0 else 0.0) + depth[l] / capacity[l]
-                        if w < best_w:
-                            best_w = w
-                            best = l
-                    chosen = best
-                asg_append(chosen)
-                depth[chosen] += 1
-                adm_append(True)
-            return assignments, admitted
         for m, now in enumerate(arrival):
             chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
             critical = has_critical and slo_class[m] == LATENCY_CRITICAL

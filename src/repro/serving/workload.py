@@ -310,15 +310,19 @@ def bursty_trace(
         end = min(t + dwell, duration_s)
         scale = 1.0 / (rate_hz * (burst_factor if bursting else 1.0))
         cursor = t
+        # Walk at most ~1.5× the segment's expected arrivals per pass: the
+        # shared buffer is sized for the whole run, and cumsumming all of it
+        # per segment is quadratic in time and keeps full-size views alive.
+        window = int((end - t) / scale * 1.5) + 64
         while True:
-            gaps = expo.remaining() * scale
+            gaps = expo.remaining()[:window] * scale
             # walk[k] = cursor + g_1 + ... + g_k with cumsum's sequential
             # accumulation — the same additions, in the same order, as the
             # scalar loop's ``cursor += gap``.
             walk = np.cumsum(np.concatenate(([cursor], gaps)))
             within = int(np.searchsorted(walk[1:], end, side="left"))
             if within == len(gaps):
-                # Whole buffer lands inside the segment: keep walking.
+                # Whole window lands inside the segment: keep walking.
                 parts.append(walk[1:])
                 expo.advance(len(gaps))
                 cursor = float(walk[-1])

@@ -538,7 +538,7 @@ class TestFleetRegressions:
 
 # ---------------------------------------------------------- engine identity
 class TestEngineIdentity:
-    """The block-routed indexed engine reproduces the reference loop
+    """The indexed engine reproduces the reference loop
     field-for-field across routers, admission settings, and SLO mixes."""
 
     @pytest.mark.parametrize(
@@ -591,6 +591,60 @@ class TestEngineIdentity:
         idx = run_fleet_cell(FleetSpec(engine="indexed", **base))
         assert idx == ref
 
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            FleetSpec(platforms=("tx2-gpu",), engine="warp")
+
+
+# ------------------------------------------------------------ conservation
+class TestFleetConservation:
+    """Accounting laws of the production (indexed) engine on its own: no
+    reference run is involved, so these hold for any future dispatch core."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        router=st.sampled_from(
+            ("round_robin", "least_backlog", "difficulty_aware")
+        ),
+        pattern=st.sampled_from(("poisson", "bursty")),
+        crit=st.sampled_from((0.0, 0.25, 1.0)),
+        max_queue=st.sampled_from((None, 3, 8)),
+    )
+    def test_served_dropped_energy_and_usage_conserve(
+        self, seed, router, pattern, crit, max_queue
+    ):
+        report = run_fleet_cell(
+            FleetSpec(
+                platforms=("tx2-gpu", "agx-gpu"),
+                pattern=pattern,
+                router=router,
+                seed=seed,
+                duration_s=2.0,
+                utilization=0.95,
+                critical_fraction=crit,
+                admission_max_queue=max_queue,
+            )
+        )
+        n = report.num_requests
+        assert report.num_served + report.num_dropped == n
+        classes = report.class_stats.values()
+        for stats in classes:
+            assert stats["num_served"] + stats["num_dropped"] == stats["num_requests"]
+        assert sum(stats["num_requests"] for stats in classes) == n
+        assert sum(stats["num_dropped"] for stats in classes) == report.num_dropped
+
+        devices = report.devices
+        assert sum(d.requests + d.num_dropped for d in devices) == n
+        assert sum(d.requests for d in devices) == report.num_served
+        assert sum(d.energy_j for d in devices) == pytest.approx(
+            report.total_energy_j, rel=1e-9
+        )
+        for device in devices:
+            if device.requests:
+                assert sum(device.exit_usage) == pytest.approx(1.0, abs=1e-9)
+        assert report.latency_ms_p50 <= report.latency_ms_p95 <= report.latency_ms_p99
+
 
 # ------------------------------------------------------------ band caching
 class TestBandCache:
@@ -629,29 +683,3 @@ class TestBandCache:
         other = [_FakeLane(0, 30.0, 0.3, 0.0), _FakeLane(1, 10.0, 0.1, 0.0)]
         assert router.route(0.9, BEST_EFFORT, 0.0, other) == 0
 
-
-# ------------------------------------------------------------ work stealing
-class TestWorkStealing:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            FleetSpec(platforms=("tx2-gpu",), engine="warp")
-
-    def test_steal_requires_indexed_engine(self):
-        with pytest.raises(ValueError, match="indexed engine"):
-            FleetSpec(platforms=("tx2-gpu",), engine="reference", steal=True)
-
-    def test_steal_cell_stays_consistent(self):
-        report = run_fleet_cell(
-            FleetSpec(
-                platforms=("tx2-gpu", "agx-gpu"),
-                pattern="bursty",
-                duration_s=5.0,
-                utilization=0.95,
-                steal=True,
-            )
-        )
-        assert report.num_stolen >= 0
-        assert sum(d.stolen_in for d in report.devices) == report.num_stolen
-        assert sum(d.stolen_out for d in report.devices) == report.num_stolen
-        assert sum(d.requests for d in report.devices) == report.num_requests
-        assert report.latency_ms_p50 <= report.latency_ms_p95 <= report.latency_ms_p99
