@@ -12,8 +12,8 @@ reports evaluations/sec before vs after.  Also records:
   per-layer timing-kernel invocations (neither ``layer_timing`` nor
   ``batch_timing`` runs once the tables exist);
 * a population-scale phase — N distinct placements swept over a batch of
-  settings through ``evaluate_population`` (one stacked gather per
-  (population, setting)) vs the per-call cost-table kernel, with the exit
+  settings through ``evaluate_population`` (one stacked gather per call)
+  vs the per-call cost-table kernel, with the exit
   oracle pre-warmed on both sides so the comparison isolates the cost
   kernels, plus the oracle's column cache hit/miss counters;
 * an accuracy-side phase — the batched exit-oracle statistics kernel
@@ -389,7 +389,7 @@ def _paper_ioe_row(bench: _Workbench) -> dict:
 
     from repro.metrics.pareto import non_dominated_sort_reference
 
-    def timed_run(fused: bool) -> tuple[float, float, int]:
+    def timed_run(fused: bool) -> tuple[float, float, int, dict]:
         engine = bench.inner_engine(
             "paper",
             use_tables=True,
@@ -400,17 +400,21 @@ def _paper_ioe_row(bench: _Workbench) -> dict:
         vectorized_sort = nsga2_module.non_dominated_sort
         if not fused:
             nsga2_module.non_dominated_sort = non_dominated_sort_reference
+        # Both modes run under a recorder (same counter overhead), so the
+        # fused run's kernel width is measured on the timed run itself.
+        recorder = Recorder()
         try:
-            start = time.perf_counter()
-            result = engine.run()
-            wall = time.perf_counter() - start
+            with trace.recording(recorder):
+                start = time.perf_counter()
+                result = engine.run()
+                wall = time.perf_counter() - start
         finally:
             nsga2_module.non_dominated_sort = vectorized_sort
         best = result.best.payload["evaluation"].d_score
-        return wall, best, result.num_evaluations
+        return wall, best, result.num_evaluations, recorder.counters
 
-    fused_wall, fused_best, evaluations = timed_run(True)
-    pr6_wall, pr6_best, _ = timed_run(False)
+    fused_wall, fused_best, evaluations, counters = timed_run(True)
+    pr6_wall, pr6_best, _, _ = timed_run(False)
     assert fused_best == pr6_best, (
         f"paper-budget IOE modes diverged: fused {fused_best} vs pr6 {pr6_best}"
     )
@@ -422,6 +426,9 @@ def _paper_ioe_row(bench: _Workbench) -> dict:
         "pr6_wall_s": pr6_wall,
         "fused_wall_s": fused_wall,
         "speedup": pr6_wall / fused_wall,
+        # Oracle rows per fused accuracy-kernel call: one call per
+        # generation makes this about the generation's unseen pairs.
+        "rows_per_call": counters["oracle.batch_rows"] / counters["oracle.batch_calls"],
     }
 
 
@@ -448,8 +455,8 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
         population = bench.evaluator(True)
         placements = _distinct_placements(bench, placements_hint, bench.seed + 17)
         population.evaluate_population(placements, bench.dvfs.default_setting())
-        # A mixed-setting generation batch: surfaces the oracle's batch-size
-        # and shared-prefix-reuse counters plus the generation grouping.
+        # A mixed-setting generation batch: one fused call whose oracle
+        # batch-size and shared-prefix-reuse counters land in the rollup.
         generation = bench.evaluator(True)
         settings = _distinct_settings(bench, 4, bench.seed + 53)
         decoded = [
@@ -590,19 +597,23 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"IOE paper budget ({paper_row['population']}x{paper_row['generations']}): "
         f"pr6 mode {paper_row['pr6_wall_s']:.3f}s, fused "
-        f"{paper_row['fused_wall_s']:.3f}s ({paper_row['speedup']:.1f}x)"
+        f"{paper_row['fused_wall_s']:.3f}s ({paper_row['speedup']:.1f}x), "
+        f"{paper_row['rows_per_call']:.1f} oracle rows per fused call"
     )
     obs_counters = observability["counters"]
+    fused_rows_per_call = obs_counters.get("oracle.batch_rows", 0) / max(
+        obs_counters.get("oracle.batch_calls", 0), 1
+    )
     print(
         "observability rollup: "
         f"{obs_counters.get('dyneval.evaluations', 0):.0f} evaluations / "
         f"{obs_counters.get('dyneval.memo_hits', 0):.0f} memo hits, "
-        f"{obs_counters.get('dyneval.population_rows', 0):.0f} population rows, "
+        f"{obs_counters.get('dyneval.generation_rows', 0):.0f} generation rows, "
         f"{obs_counters.get('cost_table.builds', 0):.0f} table builds, "
         f"{obs_counters.get('oracle.batch_rows', 0):.0f} oracle batch rows / "
         f"{obs_counters.get('oracle.prefix_nodes', 0):.0f} prefix nodes / "
         f"{obs_counters.get('oracle.prefix_hits', 0):.0f} prefix hits, "
-        f"{obs_counters.get('dyneval.generation_groups', 0):.0f} generation groups"
+        f"{fused_rows_per_call:.1f} fused rows per call"
     )
 
     report = {

@@ -94,9 +94,10 @@ class DynamicEvaluator:
         dynamic-eval bench's "before" baseline and the bit-identity property
         tests; both paths produce identical bits.
     use_population_kernel:
-        Route :meth:`evaluate_population` through the stacked
+        Route :meth:`evaluate_generation` (and :meth:`evaluate_population`)
+        through the stacked
         :class:`~repro.hardware.population_kernel.PopulationKernel` (the
-        default; requires ``use_tables``).  ``False`` keeps the per-placement
+        default; requires ``use_tables``).  ``False`` keeps the per-pair
         :meth:`evaluate` loop — the population bench's "before" comparator
         and the bit-identity reference; both paths produce identical bits.
     use_fused_objectives:
@@ -253,84 +254,69 @@ class DynamicEvaluator:
     def evaluate_population(
         self, placements: list[ExitPlacement], setting: DvfsSetting
     ) -> list[DynamicEvaluation]:
-        """Evaluate N placements at one setting as one stacked kernel call.
-
-        Bit-identical to ``[self.evaluate(p, setting) for p in placements]``
-        (asserted by the population property tests and the bench): the
-        stacked kernel performs exactly the per-placement elementwise work,
-        and every reduction (usage-weighted dots, score means) runs per row
-        on operand slices identical to the per-call arrays.  Shares
-        :meth:`evaluate`'s cache — duplicates and previously seen
-        (placement, setting) pairs cost a dict read, mixed call patterns
-        stay coherent — and falls back to the per-placement loop when either
-        kernel flag is off.
-        """
-        placements = list(placements)
-        if not (self.use_tables and self.use_population_kernel):
-            trace.count("dyneval.population_fallbacks")
-            trace.count("dyneval.population_fallback_rows", len(placements))
-            return [self.evaluate(p, setting) for p in placements]
-        trace.count("dyneval.population_calls")
-        trace.count("dyneval.population_rows", len(placements))
-        cache = self._eval_cache
-        core, emc = setting.core_ghz, setting.emc_ghz
-        keys = [(p.key, core, emc) for p in placements]
-        pending: dict[tuple, ExitPlacement] = {}
-        for key, placement in zip(keys, placements):
-            if key not in cache and key not in pending:
-                pending[key] = placement
-        if pending:
-            batch = list(pending.values())
-            fused = self.population.fused_batch(batch, setting, self.oracle)
-            for key, evaluation in zip(
-                pending,
-                self._finalize_population(batch, fused.stats, fused.costs, setting),
-            ):
-                cache[key] = evaluation
-        return [cache[key] for key in keys]
+        """Evaluate N placements at one setting: :meth:`evaluate_generation`
+        with every row at ``setting``."""
+        return self.evaluate_generation([(p, setting) for p in placements])
 
     def evaluate_generation(
         self, decoded: list[tuple[ExitPlacement, DvfsSetting]]
     ) -> list[DynamicEvaluation]:
-        """Evaluate a mixed-setting generation, grouped by DVFS setting.
+        """Evaluate a mixed-setting generation as one stacked kernel call.
 
-        One fused accuracy+cost population call per distinct setting
-        (order-preserving results) — the entry point the NSGA-II/IOE batch
-        hook, random search and the ``population-eval`` task kind all lower
-        to.  Bit-identical to evaluating each (placement, setting) pair
-        individually, since :meth:`evaluate_population` is.
+        The entry point the NSGA-II/IOE batch hook, random search, the DVFS
+        grids and the ``population-eval`` task kind all lower to: the
+        distinct unseen (placement, setting) pairs make one fused
+        accuracy+cost call (oracle statistics are DVFS-independent; costs
+        gather per row from the stacked setting tables) and one finalize
+        pass, with order-preserving results.
+
+        Bit-identical to ``[self.evaluate(p, s) for p, s in decoded]``
+        (asserted by the population property tests and the bench): the
+        stacked kernel performs exactly the per-pair elementwise work, and
+        every reduction (usage-weighted dots, score means) runs per row on
+        operand slices identical to the per-call arrays.  Shares
+        :meth:`evaluate`'s cache — duplicates and previously seen pairs
+        cost a dict read, mixed call patterns stay coherent — and falls back
+        to the per-pair loop when either kernel flag is off.
         """
-        groups: dict[tuple[float, float], list[int]] = {}
-        for index, (_, setting) in enumerate(decoded):
-            groups.setdefault((setting.core_ghz, setting.emc_ghz), []).append(index)
+        if not (self.use_tables and self.use_population_kernel):
+            trace.count("dyneval.population_fallbacks")
+            trace.count("dyneval.population_fallback_rows", len(decoded))
+            return [self.evaluate(p, setting) for p, setting in decoded]
         trace.count("dyneval.generation_calls")
         trace.count("dyneval.generation_rows", len(decoded))
-        trace.count("dyneval.generation_groups", len(groups))
-        results: list[DynamicEvaluation | None] = [None] * len(decoded)
-        for indices in groups.values():
-            setting = decoded[indices[0]][1]
-            evaluations = self.evaluate_population(
-                [decoded[i][0] for i in indices], setting
+        cache = self._eval_cache
+        keys = [(p.key, setting.core_ghz, setting.emc_ghz) for p, setting in decoded]
+        pending: dict[tuple, tuple[ExitPlacement, DvfsSetting]] = {}
+        for key, pair in zip(keys, decoded):
+            if key not in cache and key not in pending:
+                pending[key] = pair
+        if pending:
+            fused = self.population.fused_batch(
+                [p for p, _ in pending.values()],
+                [setting for _, setting in pending.values()],
+                self.oracle,
             )
-            for i, evaluation in zip(indices, evaluations):
-                results[i] = evaluation
-        return results
+            cache.update(
+                zip(pending, self._finalize_population(pending, fused.stats, fused.costs))
+            )
+        return [cache[key] for key in keys]
 
     def _finalize_population(
         self,
-        placements: list[ExitPlacement],
+        pending: dict[tuple, tuple[ExitPlacement, DvfsSetting]],
         stats: PopulationExitStats,
         costs: PopulationPathCosts,
-        setting: DvfsSetting,
     ) -> list[DynamicEvaluation]:
         """Stacked eq. 5–7 tail: ratios, clamps and scores as fixed-shape
-        matrix ops; reductions per row (see :meth:`evaluate_population`).
+        matrix ops; reductions per row (see :meth:`evaluate_generation`).
 
         The accuracy matrices arrive pre-stacked from the oracle's
         population kernel — fused with the cost matrices here — and with
         ``use_fused_objectives`` the per-row IOE objective vectors are
         computed in the same pass (guarded stacked reductions) and memoised
-        so :meth:`objectives` never recomputes them."""
+        under ``pending``'s cache keys so :meth:`objectives` never
+        recomputes them."""
         exit_energy = costs.exit_energy_j
         exit_latency = costs.exit_latency_s
         energy_ratio = exit_energy / self.baseline_energy_j
@@ -384,11 +370,10 @@ class DynamicEvaluator:
         bounds = np.concatenate(([0], np.cumsum(costs.widths))).tolist()
         new = DynamicEvaluation.__new__
         cls = DynamicEvaluation
-        core, emc = setting.core_ghz, setting.emc_ghz
         objectives_cache = self._objectives_cache
         evaluations = []
-        for row, (placement, exit_stats) in enumerate(
-            zip(placements, stats.evaluations)
+        for row, ((key, (placement, setting)), exit_stats) in enumerate(
+            zip(pending.items(), stats.evaluations)
         ):
             start = bounds[row]
             end = bounds[row + 1]
@@ -415,7 +400,7 @@ class DynamicEvaluator:
             })
             evaluations.append(evaluation)
             if objective_rows is not None:
-                objectives_cache[(placement.key, core, emc)] = objective_rows[row]
+                objectives_cache[key] = objective_rows[row]
         return evaluations
 
     def _fused_objectives(

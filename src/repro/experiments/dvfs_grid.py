@@ -4,15 +4,15 @@ HADAS's inner search samples the (X, F) space; deployment questions
 ("what is the true energy-optimal operating point for *this* DyNN?",
 "how flat is the energy landscape around the searched setting?") want the
 *whole* grid.  With the population kernel one grid column — every placement
-at one setting — is a single stacked gather, so an exhaustive sweep costs
-O(settings) kernel calls instead of O(settings × placements) Python
+at one setting — is a single fused kernel call, so an exhaustive sweep
+costs O(settings) kernel calls instead of O(settings × placements) Python
 evaluations.
 
 Two computation paths, bit-identical by construction:
 
 * :func:`compute_grid` — inline, one
-  :meth:`~repro.eval.dynamic.DynamicEvaluator.evaluate_population` call per
-  setting.
+  :meth:`~repro.eval.dynamic.DynamicEvaluator.evaluate_population` call
+  (one stacked gather) per setting.
 * :func:`sharded_grid` — lowers the sweep to ``population-eval`` task specs
   (one per (placement-chunk, setting)) and runs them on an
   :class:`~repro.engine.service.EvaluationService`; with a cache attached,

@@ -1,14 +1,16 @@
-"""Population-batched path costs: one stacked gather per (population, setting).
+"""Population-batched path costs: one stacked gather per mixed-setting population.
 
 The PR-5 cost tables made a *single* dynamic evaluation an O(exits) cumsum
 gather, but an NSGA-II generation (or an exhaustive DVFS sweep) still pays
 full Python per-call overhead per individual: index arrays, branch-scalar
-loops and small-array arithmetic are re-dispatched N times per setting.
+loops and small-array arithmetic are re-dispatched N times.
 :class:`PopulationKernel` amortises that across a whole population — N exit
-placements evaluated at one :class:`~repro.hardware.dvfs.DvfsSetting` become
-one padded ``(N, E_max)`` gather over the setting's
-:class:`~repro.hardware.cost_table.SettingCostTable` plus ``E_max`` broadcast
-column additions, independent of N.
+placements, each at its own :class:`~repro.hardware.dvfs.DvfsSetting`,
+become one padded ``(N, E_max)`` gather over every seen setting's
+:class:`~repro.hardware.cost_table.SettingCostTable` cumsums stacked as
+(settings × layers) rows, indexed by (setting row, prefix end), plus
+``E_max`` broadcast column additions — independent of N and of how many
+settings the population mixes.
 
 Bit-identity contract (same as every kernel in this repo): the stacked path
 costs equal :meth:`SettingCostTable.exit_path_costs` /
@@ -16,7 +18,8 @@ costs equal :meth:`SettingCostTable.exit_path_costs` /
 per-layer loop — bit for bit, for every row:
 
 * Row ``n``'s gathered prefix values are the same cumulative-array elements
-  the per-placement kernel reads.
+  the per-placement kernel reads at that row's setting (stacking copies
+  them verbatim).
 * Branch scalars are added as broadcast *column* operations in ascending
   exit order (``M[:, j:] += B[:, j:j+1]``): each matrix element receives
   exactly the per-placement sequence of scalar float64 additions, in the
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,7 +52,7 @@ from repro.hardware.dvfs import DvfsSetting
 
 @dataclass(frozen=True)
 class PopulationPathCosts:
-    """Stacked path costs of N placements at one DVFS setting.
+    """Stacked path costs of N placements, each at its own DVFS setting.
 
     ``exit_energy_j`` / ``exit_latency_s`` are ``(N, E_max)`` matrices; row
     ``n`` is valid through ``widths[n]`` columns (the rest is padding and
@@ -70,7 +74,7 @@ class PopulationPathCosts:
 
 @dataclass(frozen=True)
 class FusedPopulationBatch:
-    """Accuracy and cost matrices of one population at one DVFS setting.
+    """Accuracy and cost matrices of one population, one setting per row.
 
     The fusion of the two population kernels: ``stats`` is the oracle's
     stacked accuracy side (N_i, usage, dissimilarity, union accuracies) and
@@ -95,55 +99,28 @@ class FusedPopulationBatch:
         return len(self.costs.widths)
 
 
-class _SettingArrays:
-    """Per-position gather operands of one setting's cost table.
+class _StackedTables(NamedTuple):
+    """Gather operands of every seen setting, stacked setting-major.
 
-    Arrays are indexed by MBConv position (``0`` is the padding sentinel:
-    prefix index 0 with all-zero branch terms).  Branch terms are filled
-    lazily per requested position from the table's cached scalars, so the
-    kernel handles any placement without knowing the legal exit range.
+    ``cum`` holds each table's ``cum_total/core/mem/static`` as a
+    ``(4, settings · layers)`` array and ``branch`` the branch terms
+    ``total_s, core_j, mem_dyn_j, mem_bg_j, static_j`` as
+    ``(5, settings · positions)`` — one flat index per (setting row, prefix
+    end) or (setting row, position) gathers every operand.  Branch slots
+    hold NaN until filled; position ``0`` is the padding sentinel (prefix
+    index 0, all-zero branch terms).  A snapshot never changes shape: fills
+    only write slots no reader has been handed, and growth builds a new
+    snapshot, so readers need no lock.
     """
 
-    __slots__ = (
-        "prefix_index",
-        "total_s",
-        "core_j",
-        "mem_dyn_j",
-        "mem_bg_j",
-        "static_j",
-        "_filled",
-    )
+    rows: dict[tuple[float, float], int]  # (core_ghz, emc_ghz) -> row
+    tables: tuple[SettingCostTable, ...]
+    cum: np.ndarray
+    branch: np.ndarray
 
-    def __init__(self, table: SettingCostTable, max_position: int):
-        size = max_position + 1
-        self.prefix_index = np.zeros(size, dtype=np.intp)
-        for position in range(1, size):
-            self.prefix_index[position] = table.prefix_end(position)
-        self.total_s = np.zeros(size)
-        self.core_j = np.zeros(size)
-        self.mem_dyn_j = np.zeros(size)
-        self.mem_bg_j = np.zeros(size)
-        self.static_j = np.zeros(size)
-        self._filled = np.zeros(size, dtype=bool)
-        self._filled[0] = True  # the padding sentinel stays all-zero
 
-    def ensure(
-        self,
-        table: SettingCostTable,
-        branch_cost: Callable[[int], LayerCost],
-        positions: np.ndarray,
-    ) -> None:
-        """Fill branch-term slots for every position present in ``positions``."""
-        for position in np.unique(positions).tolist():
-            if self._filled[position]:
-                continue
-            terms = table.branch_terms(position, branch_cost(position))
-            self.total_s[position] = terms.total_s
-            self.core_j[position] = terms.core_j
-            self.mem_dyn_j[position] = terms.mem_dyn_j
-            self.mem_bg_j[position] = terms.mem_bg_j
-            self.static_j[position] = terms.static_j
-            self._filled[position] = True
+_setting_key = attrgetter("core_ghz", "emc_ghz")
+_branch_values = attrgetter("total_s", "core_j", "mem_dyn_j", "mem_bg_j", "static_j")
 
 
 class PopulationKernel:
@@ -163,30 +140,71 @@ class PopulationKernel:
     ):
         self._bank = bank
         self._branch_cost = branch_cost
-        self._max_position = max_position
-        self._arrays: dict[tuple[float, float], _SettingArrays] = {}
+        self._layers = len(bank.cost.layers)
+        self._positions = max_position + 1
+        self._prefix_index = np.zeros(self._positions, dtype=np.intp)
+        for position in range(1, self._positions):
+            self._prefix_index[position] = bank.cost.prefix_end(position)
+        self._store = _StackedTables({}, (), np.empty((4, 0)), np.empty((5, 0)))
         self._lock = threading.Lock()
 
-    def _setting_arrays(self, table: SettingCostTable) -> _SettingArrays:
-        key = (table.setting.core_ghz, table.setting.emc_ghz)
-        arrays = self._arrays.get(key)
-        if arrays is None:
-            with self._lock:
-                arrays = self._arrays.get(key)
-                if arrays is None:
-                    arrays = _SettingArrays(table, self._max_position)
-                    self._arrays[key] = arrays
-        return arrays
+    def _rows(
+        self, settings: Sequence[DvfsSetting], positions: np.ndarray
+    ) -> tuple[_StackedTables, np.ndarray, np.ndarray]:
+        """A store snapshot holding every operand a gather reads, the rows'
+        setting indices into it and their flat branch slots.
+
+        Growth (new settings append rows) and branch fills run under the
+        lock; the returned snapshot is then read lock-free, which keeps
+        thread-executor runs sharing one evaluator consistent.
+        """
+        keys = list(map(_setting_key, settings))
+        distinct = dict(zip(keys, settings))
+        size = self._positions
+        with self._lock:
+            store = self._store
+            fresh = [self._bank.table(distinct[k]) for k in distinct if k not in store.rows]
+            if fresh:
+                rows = dict(store.rows)
+                for table in fresh:
+                    rows[_setting_key(table.setting)] = len(rows)
+                cum = [(t.cum_total, t.cum_core, t.cum_mem, t.cum_static) for t in fresh]
+                branch = np.full((5, len(fresh), size), np.nan)
+                branch[:, :, 0] = 0.0  # the padding sentinel
+                store = self._store = _StackedTables(
+                    rows,
+                    store.tables + tuple(fresh),
+                    np.hstack((store.cum, np.stack(cum, axis=1).reshape(4, -1))),
+                    np.hstack((store.branch, branch.reshape(5, -1))),
+                )
+            rows = np.fromiter(
+                map(store.rows.__getitem__, keys), dtype=np.intp, count=len(keys)
+            )
+            slots = rows[:, None] * size + positions
+            missing = np.unique(slots[np.isnan(store.branch[0, slots])]).tolist()
+            if missing:
+                store.branch[:, missing] = np.array([
+                    _branch_values(
+                        store.tables[slot // size].branch_terms(
+                            slot % size, self._branch_cost(slot % size)
+                        )
+                    )
+                    for slot in missing
+                ]).T
+        return store, rows, slots
 
     def path_costs(
-        self, position_lists: Sequence[Sequence[int]], setting: DvfsSetting
+        self,
+        position_lists: Sequence[Sequence[int]],
+        settings: Sequence[DvfsSetting],
     ) -> PopulationPathCosts:
-        """Exit-path and full-path costs of N placements at ``setting``.
+        """Exit-path and full-path costs of N placements, row ``n`` at
+        ``settings[n]``.
 
-        One ``(N, E_max)`` fancy gather over the setting's cumulative
-        arrays, then one broadcast column addition per exit slot — total
-        work O(N · E_max) array elements with no per-placement Python loop
-        over branches.
+        One ``(N, E_max)`` gather over the stacked cumulative arrays,
+        indexed by (setting row, prefix end), then one broadcast column
+        addition per exit slot — total work O(N · E_max) array elements with
+        no per-placement or per-setting Python loop over branches.
         """
         count = len(position_lists)
         widths = np.fromiter(
@@ -194,30 +212,21 @@ class PopulationKernel:
             dtype=np.intp,
             count=count,
         )
-        table = self._bank.table(setting)
-        arrays = self._setting_arrays(table)
         e_max = int(widths.max()) if count else 0
         positions = np.zeros((count, e_max), dtype=np.intp)
         for row, row_positions in enumerate(position_lists):
             positions[row, : len(row_positions)] = row_positions
-        with self._lock:
-            arrays.ensure(table, self._branch_cost, positions)
+        store, rows, slots = self._rows(settings, positions)
 
-        index = arrays.prefix_index[positions]
-        latency = table.cum_total[index]
-        core = table.cum_core[index]
-        mem = table.cum_mem[index]
-        static = table.cum_static[index]
-        branch_total = arrays.total_s[positions]
-        branch_core = arrays.core_j[positions]
-        branch_mem_dyn = arrays.mem_dyn_j[positions]
-        branch_mem_bg = arrays.mem_bg_j[positions]
-        branch_static = arrays.static_j[positions]
-
-        full_latency = np.full(count, table.cum_total[-1])
-        full_core = np.full(count, table.cum_core[-1])
-        full_mem = np.full(count, table.cum_mem[-1])
-        full_static = np.full(count, table.cum_static[-1])
+        layers = self._layers
+        prefix = rows[:, None] * layers + self._prefix_index[positions]
+        latency, core, mem, static = store.cum.take(prefix, axis=1)
+        branch_total, branch_core, branch_mem_dyn, branch_mem_bg, branch_static = (
+            store.branch.take(slots, axis=1)
+        )
+        full_latency, full_core, full_mem, full_static = store.cum.take(
+            rows * layers + (layers - 1), axis=1
+        )
 
         # Ascending exit order mirrors the per-placement kernel: branch j
         # lands on every exit i >= j before branch j+1 does, and the memory
@@ -242,15 +251,19 @@ class PopulationKernel:
             full_latency_s=full_latency,
         )
 
-    def fused_batch(self, placements, setting: DvfsSetting, oracle) -> FusedPopulationBatch:
-        """Accuracy + cost matrices of N placements in one fused call.
+    def fused_batch(
+        self, placements, settings: Sequence[DvfsSetting], oracle
+    ) -> FusedPopulationBatch:
+        """Accuracy + cost matrices of N placements in one fused call, row
+        ``n`` costed at ``settings[n]``.
 
         ``oracle`` is any provider exposing ``population_stats(placements)``
         (a :class:`~repro.accuracy.exit_model.BackboneExitOracle`); its
-        stacked statistics and this kernel's path costs come back aligned
-        and width-checked.  This is the surface
-        :meth:`DynamicEvaluator.evaluate_population` drives.
+        stacked statistics — DVFS-independent, so one pass covers every
+        setting — and this kernel's path costs come back aligned and
+        width-checked.  This is the surface
+        :meth:`DynamicEvaluator.evaluate_generation` drives.
         """
         stats = oracle.population_stats(placements)
-        costs = self.path_costs([p.positions for p in placements], setting)
+        costs = self.path_costs([p.positions for p in placements], settings)
         return FusedPopulationBatch(stats=stats, costs=costs)

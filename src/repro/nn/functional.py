@@ -1,7 +1,7 @@
 """Functional NN operations: im2col convolution, pooling, softmax.
 
 The convolution is implemented as a single fused autograd node (forward via
-im2col + batched matmul, backward via col2im scatter-add) rather than a
+im2col + batched matmul, backward via col2im strided slice-adds) rather than a
 composition of Tensor primitives — the graphs stay small and the hot path is
 pure BLAS.
 """
@@ -43,6 +43,27 @@ def _pad_input(x: np.ndarray, padding: int) -> np.ndarray:
     if padding == 0:
         return x
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+
+
+def _col2im(grad_cols: np.ndarray, grad: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """Sum im2col columns ``(batch, channels * kernel², h_out * w_out)`` into
+    ``grad``, a zeroed padded image the caller allocates (its dtype and
+    memory layout stay the caller's), and return it.
+
+    One strided slice-add per kernel offset in ascending ``(ki, kj)`` order:
+    each padded pixel receives its contributions in the order ``np.add.at``
+    over the :func:`_conv_indices` arrays applies them, so the bits match.
+    """
+    batch, channels, height, width = grad.shape
+    h_out = (height - kernel) // stride + 1
+    w_out = (width - kernel) // stride + 1
+    cols = grad_cols.reshape(batch, channels, kernel, kernel, h_out, w_out)
+    rows = slice(0, stride * (h_out - 1) + 1, stride)
+    columns = slice(0, stride * (w_out - 1) + 1, stride)
+    for ki in range(kernel):
+        for kj in range(kernel):
+            grad[:, :, ki:, kj:][:, :, rows, columns] += cols[:, :, ki, kj]
+    return grad
 
 
 def _unpad_grad(grad: np.ndarray, padding: int) -> np.ndarray:
@@ -101,9 +122,7 @@ def conv2d(
             weight._accumulate(grad_w.reshape(weight.shape))
         if x.requires_grad:
             grad_cols = np.einsum("gok,ngol->ngkl", weight_g, g_cols, optimize=True)
-            grad_cols = grad_cols.reshape(batch, c_in * kernel * kernel, length)
-            grad_padded = np.zeros_like(x_padded)
-            np.add.at(grad_padded, (slice(None), chan_idx, row_idx, col_idx), grad_cols)
+            grad_padded = _col2im(grad_cols, np.zeros_like(x_padded), kernel, stride)
             x._accumulate(_unpad_grad(grad_padded, padding))
 
     return Tensor._make(out, parents, backward)
@@ -117,14 +136,14 @@ def _pool_cols(x: Tensor, kernel: int, stride: int, padding: int):
     x_padded = _pad_input(x.data, padding)
     cols = x_padded[:, chan_idx, row_idx, col_idx]
     cols = cols.reshape(batch, channels, kernel * kernel, h_out * w_out)
-    return cols, (chan_idx, row_idx, col_idx), x_padded.shape, h_out, w_out
+    return cols, x_padded.shape, h_out, w_out
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int = 0) -> Tensor:
     """Max pooling over NCHW input."""
     stride = stride or kernel
     batch, channels = x.shape[:2]
-    cols, idx, padded_shape, h_out, w_out = _pool_cols(x, kernel, stride, padding)
+    cols, padded_shape, h_out, w_out = _pool_cols(x, kernel, stride, padding)
     arg = cols.argmax(axis=2)
     out = np.take_along_axis(cols, arg[:, :, None, :], axis=2)[:, :, 0, :]
     out = out.reshape(batch, channels, h_out, w_out)
@@ -135,9 +154,9 @@ def max_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int =
         g_flat = g.reshape(batch, channels, h_out * w_out)
         grad_cols = np.zeros_like(cols)
         np.put_along_axis(grad_cols, arg[:, :, None, :], g_flat[:, :, None, :], axis=2)
-        grad_cols = grad_cols.reshape(batch, channels * kernel * kernel, h_out * w_out)
-        grad_padded = np.zeros(padded_shape, dtype=g.dtype)
-        np.add.at(grad_padded, (slice(None), *idx), grad_cols)
+        grad_padded = _col2im(
+            grad_cols, np.zeros(padded_shape, dtype=g.dtype), kernel, stride
+        )
         x._accumulate(_unpad_grad(grad_padded, padding))
 
     return Tensor._make(out, (x,), backward)
@@ -147,18 +166,17 @@ def avg_pool2d(x: Tensor, kernel: int, stride: int | None = None, padding: int =
     """Average pooling over NCHW input."""
     stride = stride or kernel
     batch, channels = x.shape[:2]
-    cols, idx, padded_shape, h_out, w_out = _pool_cols(x, kernel, stride, padding)
+    cols, padded_shape, h_out, w_out = _pool_cols(x, kernel, stride, padding)
     out = cols.mean(axis=2).reshape(batch, channels, h_out, w_out)
 
     def backward(g: np.ndarray) -> None:
         if not x.requires_grad:
             return
         g_flat = g.reshape(batch, channels, 1, h_out * w_out) / (kernel * kernel)
-        grad_cols = np.broadcast_to(g_flat, cols.shape).reshape(
-            batch, channels * kernel * kernel, h_out * w_out
+        grad_cols = np.broadcast_to(g_flat, cols.shape)
+        grad_padded = _col2im(
+            grad_cols, np.zeros(padded_shape, dtype=g.dtype), kernel, stride
         )
-        grad_padded = np.zeros(padded_shape, dtype=g.dtype)
-        np.add.at(grad_padded, (slice(None), *idx), grad_cols)
         x._accumulate(_unpad_grad(grad_padded, padding))
 
     return Tensor._make(out, (x,), backward)

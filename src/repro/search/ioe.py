@@ -116,8 +116,8 @@ class _InnerProblem(Problem):
         """Generation batches lowered to the fused population kernel.
 
         The whole batch goes through
-        :meth:`DynamicEvaluator.evaluate_generation` — grouped by decoded
-        DVFS setting, one fused accuracy+cost kernel call per group — and
+        :meth:`DynamicEvaluator.evaluate_generation` — one fused
+        accuracy+cost kernel call however many DVFS settings it mixes — and
         the objective vectors come back from the evaluator's fused-
         objectives memo.  Bit-identical to the serial :meth:`evaluate`
         loop; when the evaluator's kernel flags are off this degenerates to
@@ -175,8 +175,8 @@ class InnerEngine:
         dynamic-eval bench's "before" baseline; results are bit-identical
         either way.
     use_population_kernel:
-        Evaluate each generation's genome batch through the stacked
-        population kernel, grouped by DVFS setting (default).  ``False``
+        Evaluate each generation's genome batch, all DVFS settings at once,
+        through the stacked population kernel (default).  ``False``
         keeps per-individual evaluation — the population bench's "before"
         comparator; results are bit-identical either way.
     use_batched_oracle:

@@ -9,8 +9,9 @@ overlapping prefixes), cross-batch prefix-cache reuse and LRU eviction
 pressure — so search trajectories and golden artifacts are unchanged no
 matter which kernel produced them.  Alongside it: the stacked
 :class:`PopulationExitStats` rows, the fused-objectives memo of the
-dynamic evaluator, ``evaluate_generation`` grouping, and the flag-on/off
-equivalence of whole search engines (IOE, random search).
+dynamic evaluator, single-call mixed-setting ``evaluate_generation`` (and
+its one-kernel-call-per-generation width), and the flag-on/off equivalence
+of whole search engines (IOE, random search).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform
+from repro.obs import trace
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
 
@@ -241,8 +243,10 @@ class _EvalContext:
             baseline_energy_j=base.energy_j,
             baseline_latency_s=base.latency_s,
         )
+        self.kwargs = kwargs
         self.fused = DynamicEvaluator(**kwargs)
         self.reference = DynamicEvaluator(**kwargs, use_fused_objectives=False)
+        self.loop = DynamicEvaluator(**kwargs, use_tables=False)
 
 
 _EVAL_CONTEXTS: dict[str, _EvalContext] = {}
@@ -305,6 +309,99 @@ class TestFusedObjectives:
         before = len(ctx.fused._objectives_cache)
         ctx.fused.evaluate_population([_placement([6, 10, 14])], setting)
         assert len(ctx.fused._objectives_cache) > before
+
+
+def _assert_dynamic_identical(got, want):
+    """Every field of a DynamicEvaluation, compared bit for bit."""
+    assert got.placement == want.placement
+    assert got.setting == want.setting
+    _assert_stats_identical(got.exit_stats, want.exit_stats)
+    for name in ("exit_energy_j", "exit_latency_s", "scores"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in (
+        "dynamic_energy_j",
+        "dynamic_latency_s",
+        "energy_gain",
+        "latency_gain",
+        "d_score",
+    ):
+        assert getattr(got, name) == getattr(want, name)
+
+
+class TestMixedGenerationBitIdentity:
+    """Successive mixed-setting generations through one evaluator equal the
+    per-layer reference ``evaluate`` loop, field for field."""
+
+    @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_successive_generations_match_reference(self, platform_key, data):
+        ctx = _context(platform_key)
+        all_settings = ctx.dvfs.all_settings()
+        order = data.draw(st.permutations(range(len(all_settings))))
+        # Widths up to 10 cross the 8-column per-row reduction fallback.
+        pool = data.draw(
+            st.lists(
+                st.sets(
+                    st.integers(min_value=MIN_EXIT_POSITION, max_value=_LAYERS - 1),
+                    min_size=1,
+                    max_size=10,
+                ).map(_placement),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        evaluator = DynamicEvaluator(**ctx.kwargs)
+        calls = data.draw(st.integers(min_value=1, max_value=3))
+        for call in range(calls):
+            # Call k may use the first k + 2 settings of the draw order and
+            # always introduces setting k + 1: the stacked store grows
+            # between calls, and earlier (placement, setting) pairs recur.
+            seen = order[: call + 2]
+            rows = data.draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, len(pool) - 1), st.sampled_from(seen)
+                    ),
+                    min_size=1,
+                    max_size=10,
+                )
+            )
+            rows.append((0, seen[-1]))
+            decoded = [(pool[p], all_settings[s]) for p, s in rows]
+            got = evaluator.evaluate_generation(decoded)
+            assert len(got) == len(decoded)
+            for evaluation, (placement, setting) in zip(got, decoded):
+                want = ctx.loop.evaluate(placement, setting)
+                _assert_dynamic_identical(evaluation, want)
+                assert evaluator.objectives(evaluation) == ctx.loop.objectives(want)
+
+
+class TestGenerationWidth:
+    """One fused kernel call per IOE generation, however many DVFS settings
+    the generation mixes."""
+
+    def test_at_most_one_kernel_call_per_generation(self, static_evaluator, surrogate):
+        from repro.search.ioe import InnerEngine
+        from repro.search.nsga2 import Nsga2Config
+
+        backbone = attentivenas_model("a0")
+        nsga = Nsga2Config(population=12, generations=5)
+        engine = InnerEngine(
+            backbone,
+            static_evaluator,
+            surrogate.accuracy_fraction(backbone),
+            nsga=nsga,
+            seed=3,
+        )
+        recorder = trace.Recorder()
+        with trace.recording(recorder):
+            engine.run()
+        counters = recorder.counters
+        # ``generations`` counts the initial population; a generation whose
+        # genomes are all memoised makes no call at all.
+        assert 0 < counters["dyneval.generation_calls"] <= nsga.generations
+        assert 0 < counters["oracle.batch_calls"] <= nsga.generations
 
 
 class TestEngineEquivalence:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor
@@ -88,6 +90,43 @@ class TestConvGradients:
         w = Tensor(np.random.default_rng(9).normal(size=(3, 1, 3, 3)) * 0.4)
         gradcheck(lambda t: F.conv2d(t, w, padding=1, groups=3),
                   np.random.default_rng(10).normal(size=(1, 3, 4, 4)))
+
+
+def _col2im_scatter(grad_cols, padded_shape, channels, kernel, stride):
+    """The ``np.add.at`` scatter :func:`F._col2im` replaces (test oracle)."""
+    chan_idx, row_idx, col_idx, _, _ = F._conv_indices(
+        channels, padded_shape[2], padded_shape[3], kernel, stride, 0
+    )
+    grad = np.zeros(padded_shape, dtype=grad_cols.dtype)
+    np.add.at(grad, (slice(None), chan_idx, row_idx, col_idx), grad_cols)
+    return grad
+
+
+class TestCol2im:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from([1, 3, 5]),
+        stride=st.sampled_from([1, 2, 3]),
+        padding=st.sampled_from([0, 1, 2]),
+        height=st.integers(0, 4).map(lambda n: 2 * n + 1),
+        width=st.integers(0, 4).map(lambda n: 2 * n + 1),
+        batch=st.integers(1, 2),
+        channels=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_add_at_scatter(
+        self, kernel, stride, padding, height, width, batch, channels, seed
+    ):
+        padded_shape = (batch, channels, height + 2 * padding, width + 2 * padding)
+        assume(min(padded_shape[2:]) >= kernel)
+        h_out = (padded_shape[2] - kernel) // stride + 1
+        w_out = (padded_shape[3] - kernel) // stride + 1
+        grad_cols = np.random.default_rng(seed).normal(
+            size=(batch, channels * kernel * kernel, h_out * w_out)
+        )
+        got = F._col2im(grad_cols, np.zeros(padded_shape), kernel, stride)
+        want = _col2im_scatter(grad_cols, padded_shape, channels, kernel, stride)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPooling:

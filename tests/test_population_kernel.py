@@ -15,6 +15,7 @@ grids.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -70,6 +71,7 @@ def _context(platform_key: str) -> dict:
             "cost": cost,
             "dvfs": dvfs,
             "settings": DvfsSpace(platform).all_settings(),
+            "kwargs": kwargs,
             "population": DynamicEvaluator(**kwargs),
             "per_call": DynamicEvaluator(**kwargs, use_population_kernel=False),
             "reference": DynamicEvaluator(**kwargs, use_tables=False),
@@ -244,6 +246,59 @@ class TestCostTableBankThreadSafety:
         assert len(bank) == 2
         for slot, table in enumerate(tables):
             assert table is tables[slot % 2]
+
+
+class TestStackedStoreThreadSafety:
+    def test_racing_mixed_settings_match_single_thread(self):
+        """Eight threads grow one kernel's stacked store with fresh, mixed
+        settings at once; each result equals a single-threaded kernel's,
+        bit for bit."""
+        ctx = _context("tx2-gpu")
+        total_layers = ctx["config"].total_mbconv_layers
+        rng = np.random.default_rng(11)
+        slots = list(range(MIN_EXIT_POSITION, total_layers))
+        n_threads = 8
+        jobs = []
+        for _ in range(n_threads):
+            rows = int(rng.integers(4, 12))
+            positions = [
+                tuple(sorted(rng.choice(slots, size=size, replace=False).tolist()))
+                for size in rng.integers(1, 9, size=rows).tolist()
+            ]
+            picks = rng.integers(0, len(ctx["settings"]), size=rows)
+            jobs.append((positions, [ctx["settings"][i] for i in picks]))
+        shared = DynamicEvaluator(**ctx["kwargs"]).population
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def run(slot):
+            barrier.wait()
+            results[slot] = shared.path_costs(*jobs[slot])
+
+        threads = [
+            threading.Thread(target=run, args=(slot,)) for slot in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside path_costs
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        single = DynamicEvaluator(**ctx["kwargs"]).population
+        for job, got in zip(jobs, results):
+            want = single.path_costs(*job)
+            for name in (
+                "widths",
+                "exit_energy_j",
+                "exit_latency_s",
+                "full_energy_j",
+                "full_latency_s",
+            ):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestRuntimePathsViaBank:
