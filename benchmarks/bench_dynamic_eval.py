@@ -2,8 +2,10 @@
 
 Replays the exact (placement, setting) stream a fast-budget IOE produces
 through two :class:`DynamicEvaluator` instances — the vectorized cost-table
-kernel and the pre-refactor reference loop (``use_tables=False``) — and
-reports evaluations/sec before vs after.  Also records:
+kernel and the pre-refactor reference loop (``reference(evaluator,
+tables=False)``; every "before" comparator below comes from the frozen
+oracles in ``tests/oracles/search.py``) — and reports evaluations/sec
+before vs after.  Also records:
 
 * a worst-case stream of all-distinct random (placement, setting) pairs
   (no table reuse at all);
@@ -47,6 +49,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +70,11 @@ from repro.obs.trace import Recorder
 from repro.search.ioe import InnerEngine
 from repro.search.nsga2 import Nsga2Config
 from repro.utils.serialization import save_json
+
+# The "before" comparators are the frozen reference oracles of the test
+# suite; pytest puts ``tests/`` on the path itself, this script does it here.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.search import non_dominated_sort_reference, reference  # noqa: E402
 
 #: The acceptance floor for the fast-budget IOE evaluation-loop speedup.
 SPEEDUP_FLOOR = 5.0
@@ -98,48 +106,40 @@ class _Workbench:
         self.baseline_latency_s = base.latency_s
         self.accuracy = self.surrogate.accuracy_fraction(self.config)
 
-    def oracle(self, use_batched_stats: bool = True) -> BackboneExitOracle:
-        """A fresh exit oracle (own columns, own memo/prefix caches)."""
-        return BackboneExitOracle(
+    def oracle(self, **modes) -> BackboneExitOracle:
+        """A fresh exit oracle (own columns, own memo/prefix caches) in the
+        given :func:`reference` modes."""
+        oracle = BackboneExitOracle(
             self.config.key,
             self.config.total_mbconv_layers,
             self.accuracy,
             seed=self.seed,
-            use_batched_stats=use_batched_stats,
         )
+        return reference(oracle, **modes)
 
-    def evaluator(self, use_tables: bool) -> DynamicEvaluator:
-        """A fresh evaluator (own oracle, own caches, own table bank)."""
-        return DynamicEvaluator(
+    def evaluator(self, **modes) -> DynamicEvaluator:
+        """A fresh evaluator (own oracle, own caches, own table bank) in the
+        given :func:`reference` modes."""
+        evaluator = DynamicEvaluator(
             config=self.config,
             cost=self.cost,
             oracle=self.oracle(),
             energy_model=self.energy_model,
             baseline_energy_j=self.baseline_energy_j,
             baseline_latency_s=self.baseline_latency_s,
-            use_tables=use_tables,
         )
+        return reference(evaluator, **modes)
 
-    def inner_engine(
-        self,
-        budget: str,
-        use_tables: bool,
-        use_population_kernel: bool = True,
-        use_batched_oracle: bool = True,
-        use_fused_objectives: bool = True,
-    ) -> InnerEngine:
+    def inner_engine(self, budget: str, **modes) -> InnerEngine:
         population, generations = BUDGETS[budget]
-        return InnerEngine(
+        engine = InnerEngine(
             self.config,
             self.static,
             self.accuracy,
             nsga=Nsga2Config(population=population, generations=generations),
             seed=self.seed,
-            use_tables=use_tables,
-            use_population_kernel=use_population_kernel,
-            use_batched_oracle=use_batched_oracle,
-            use_fused_objectives=use_fused_objectives,
         )
+        return reference(engine, **modes)
 
     def record_ioe_stream(self, budget: str) -> list[tuple[ExitPlacement, object]]:
         """The exact evaluation stream one IOE run at ``budget`` performs.
@@ -148,7 +148,7 @@ class _Workbench:
         through ``evaluate`` — the stream (and the run itself) is
         bit-identical either way; this only chooses the hookable path.
         """
-        engine = self.inner_engine(budget, use_tables=True, use_population_kernel=False)
+        engine = self.inner_engine(budget, population=False)
         stream: list[tuple[ExitPlacement, object]] = []
         original = engine.evaluator.evaluate
 
@@ -181,11 +181,11 @@ class _Workbench:
         ]
 
 
-def _replay_rate(bench: _Workbench, pairs, use_tables: bool, reps: int) -> float:
+def _replay_rate(bench: _Workbench, pairs, reps: int, **modes) -> float:
     """Best-of-``reps`` evaluations/sec over ``pairs`` on fresh evaluators."""
     best = float("inf")
     for _ in range(reps):
-        evaluator = bench.evaluator(use_tables)
+        evaluator = bench.evaluator(**modes)
         start = time.perf_counter()
         for placement, setting in pairs:
             evaluator.evaluate(placement, setting)
@@ -194,10 +194,10 @@ def _replay_rate(bench: _Workbench, pairs, use_tables: bool, reps: int) -> float
 
 
 def _assert_bit_identity(bench: _Workbench, pairs) -> None:
-    vectorized, reference = bench.evaluator(True), bench.evaluator(False)
+    vectorized, loop = bench.evaluator(), bench.evaluator(tables=False)
     for placement, setting in pairs:
         fast = vectorized.evaluate(placement, setting)
-        slow = reference.evaluate(placement, setting)
+        slow = loop.evaluate(placement, setting)
         assert np.array_equal(fast.exit_energy_j, slow.exit_energy_j)
         assert np.array_equal(fast.exit_latency_s, slow.exit_latency_s)
         assert fast.dynamic_energy_j == slow.dynamic_energy_j
@@ -207,7 +207,7 @@ def _assert_bit_identity(bench: _Workbench, pairs) -> None:
 
 def _warm_phase(bench: _Workbench, pairs) -> dict:
     """New placements at seen settings: zero timing-kernel invocations."""
-    evaluator = bench.evaluator(True)
+    evaluator = bench.evaluator()
     for placement, setting in pairs:
         evaluator.evaluate(placement, setting)
     rng = np.random.default_rng(bench.seed + 1)
@@ -270,7 +270,7 @@ def _population_phase(
     evals = len(placements) * len(settings)
 
     def per_call_pass() -> float:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         evaluator.oracle.evaluate_placements(placements)
         start = time.perf_counter()
         for setting in settings:
@@ -279,7 +279,7 @@ def _population_phase(
         return time.perf_counter() - start
 
     def population_pass() -> tuple[float, DynamicEvaluator]:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         evaluator.oracle.evaluate_placements(placements)
         start = time.perf_counter()
         for setting in settings:
@@ -293,9 +293,9 @@ def _population_phase(
 
     # Bit-identity: population vs per-call on everything, both vs the
     # reference per-layer loop on a subset.
-    per_call = bench.evaluator(True)
-    stacked = bench.evaluator(True)
-    reference = bench.evaluator(False)
+    per_call = bench.evaluator()
+    stacked = bench.evaluator()
+    loop_evaluator = bench.evaluator(tables=False)
     for si, setting in enumerate(settings):
         batch = stacked.evaluate_population(placements, setting)
         for pi, (placement, fast) in enumerate(zip(placements, batch)):
@@ -309,7 +309,7 @@ def _population_phase(
             assert np.array_equal(fast.scores, slow.scores)
             assert fast.d_score == slow.d_score
             if si < 2 and pi < 24:
-                loop = reference.evaluate(placement, setting)
+                loop = loop_evaluator.evaluate(placement, setting)
                 assert np.array_equal(fast.exit_energy_j, loop.exit_energy_j)
                 assert fast.dynamic_energy_j == loop.dynamic_energy_j
                 assert fast.d_score == loop.d_score
@@ -341,7 +341,7 @@ def _accuracy_phase(bench: _Workbench, population: int, reps: int) -> dict:
     distinct = sorted({p for placement in placements for p in placement.positions})
 
     def timed_pass(use_batched: bool) -> tuple[float, BackboneExitOracle]:
-        oracle = bench.oracle(use_batched_stats=use_batched)
+        oracle = bench.oracle(batched_oracle=use_batched)
         for position in distinct:
             oracle.exit_column(position)
         oracle.final_column()
@@ -387,15 +387,9 @@ def _paper_ioe_row(bench: _Workbench) -> dict:
     """
     import repro.search.nsga2 as nsga2_module
 
-    from repro.metrics.pareto import non_dominated_sort_reference
-
     def timed_run(fused: bool) -> tuple[float, float, int, dict]:
         engine = bench.inner_engine(
-            "paper",
-            use_tables=True,
-            use_population_kernel=True,
-            use_batched_oracle=fused,
-            use_fused_objectives=fused,
+            "paper", batched_oracle=fused, fused_objectives=fused
         )
         vectorized_sort = nsga2_module.non_dominated_sort
         if not fused:
@@ -438,26 +432,26 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
 
     Replays the IOE stream through both kernels and one population sweep
     under a live recorder; the rollup lands in the JSON report so a CI
-    artifact shows memo-hit rates, table-vs-reference path counts and
-    population-kernel call counts next to the throughput numbers.
+    artifact shows memo-hit rates and population-kernel call counts next
+    to the throughput numbers.
     """
     recorder = Recorder()
     trace.install(recorder)
     try:
-        evaluator = bench.evaluator(True)
+        evaluator = bench.evaluator()
         for placement, setting in pairs:
             evaluator.evaluate(placement, setting)
         for placement, setting in pairs:  # second pass: all memo hits
             evaluator.evaluate(placement, setting)
-        reference = bench.evaluator(False)
+        loop = bench.evaluator(tables=False)
         for placement, setting in pairs[:40]:
-            reference.evaluate(placement, setting)
-        population = bench.evaluator(True)
+            loop.evaluate(placement, setting)
+        population = bench.evaluator()
         placements = _distinct_placements(bench, placements_hint, bench.seed + 17)
         population.evaluate_population(placements, bench.dvfs.default_setting())
         # A mixed-setting generation batch: one fused call whose oracle
         # batch-size and shared-prefix-reuse counters land in the rollup.
-        generation = bench.evaluator(True)
+        generation = bench.evaluator()
         settings = _distinct_settings(bench, 4, bench.seed + 53)
         decoded = [
             (placement, settings[i % len(settings)])
@@ -471,13 +465,13 @@ def _observability_pass(bench: _Workbench, pairs, placements_hint: int) -> dict:
 
 def _ioe_wall_row(bench: _Workbench, budget: str) -> dict:
     modes = {
-        "reference": (False, False),
-        "per_call": (True, False),
-        "population": (True, True),
+        "reference": dict(tables=False, population=False),
+        "per_call": dict(population=False),
+        "population": {},
     }
     walls, best_scores = {}, {}
-    for mode, (use_tables, use_population_kernel) in modes.items():
-        engine = bench.inner_engine(budget, use_tables, use_population_kernel)
+    for mode, reference_modes in modes.items():
+        engine = bench.inner_engine(budget, **reference_modes)
         start = time.perf_counter()
         result = engine.run()
         walls[mode] = time.perf_counter() - start
@@ -516,13 +510,13 @@ def main(argv: list[str] | None = None) -> int:
     ioe_stream = bench.record_ioe_stream("fast")
     _assert_bit_identity(bench, ioe_stream[:40])
 
-    reference_rate = _replay_rate(bench, ioe_stream, use_tables=False, reps=reps)
-    vectorized_rate = _replay_rate(bench, ioe_stream, use_tables=True, reps=reps)
+    reference_rate = _replay_rate(bench, ioe_stream, reps=reps, tables=False)
+    vectorized_rate = _replay_rate(bench, ioe_stream, reps=reps)
     speedup = vectorized_rate / reference_rate
 
     unique_pairs = bench.random_pairs(pair_count)
-    unique_reference = _replay_rate(bench, unique_pairs, use_tables=False, reps=1)
-    unique_vectorized = _replay_rate(bench, unique_pairs, use_tables=True, reps=1)
+    unique_reference = _replay_rate(bench, unique_pairs, reps=1, tables=False)
+    unique_vectorized = _replay_rate(bench, unique_pairs, reps=1)
 
     warm = _warm_phase(bench, ioe_stream)
     population = _population_phase(

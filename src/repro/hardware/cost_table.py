@@ -11,7 +11,8 @@ early-exit path costs one cached scalar per traversed exit branch — O(exits)
 array work per candidate.
 
 Bit-identity contract: every number a table produces equals the reference
-per-layer loop (:meth:`EnergyModel._accumulate_reference`) bit for bit.
+per-layer loop (``accumulate_reference`` in ``tests/oracles/search.py``)
+bit for bit.
 ``np.cumsum`` sums strictly left to right (matching the loop's accumulator),
 the memory rail's two per-layer terms are interleaved before summation to
 preserve their in-loop addition order (float addition is not associative),
@@ -211,11 +212,12 @@ class SettingCostTable:
     ) -> PathProfile:
         """Batch-decomposable profile of the path leaving at exit ``index``.
 
-        Bit-identical to :meth:`EnergyModel.path_profile` over the prefix up
-        to ``positions[index]`` plus the branches at ``positions[: index+1]``:
-        the gathered cumulative values continue the reference cumsums, and
-        branch scalars are added in the loop's append order (core before
-        mem_dyn per branch, preserving the dynamic rail's interleave).
+        Bit-identical to a ``path_profile`` walk (``tests/oracles/search.py``)
+        over the prefix up to ``positions[index]`` plus the branches at
+        ``positions[: index+1]``: the gathered cumulative values continue the
+        reference cumsums, and branch scalars are added in the loop's append
+        order (core before mem_dyn per branch, preserving the dynamic rail's
+        interleave).
         """
         end = self.prefix_end(positions[index])
         busy = float(self.cum_busy[end])

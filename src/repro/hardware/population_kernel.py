@@ -15,7 +15,7 @@ settings the population mixes.
 Bit-identity contract (same as every kernel in this repo): the stacked path
 costs equal :meth:`SettingCostTable.exit_path_costs` /
 :meth:`~SettingCostTable.full_path_cost` — and therefore the reference
-per-layer loop — bit for bit, for every row:
+per-layer loop in ``tests/oracles/search.py`` — bit for bit, for every row:
 
 * Row ``n``'s gathered prefix values are the same cumulative-array elements
   the per-placement kernel reads at that row's setting (stacking copies

@@ -6,7 +6,8 @@ Design constraints, in order:
    :func:`span` / :func:`count` / :func:`observe` unconditionally, including
    the dynamic-evaluation hot path, so the disabled path must be a couple of
    attribute reads and a ``None`` check (measured well under 2% of a single
-   :meth:`DynamicEvaluator.evaluate` call — asserted in ``tests/test_obs.py``).
+   cost-table :meth:`DynamicEvaluator.evaluate` miss — asserted in
+   ``tests/test_obs.py``).
 2. **No effect on results.**  The runtime never touches an RNG, never
    reorders work, and never raises into instrumented code; recording a trace
    is bit-identical to not recording one.

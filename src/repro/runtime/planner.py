@@ -63,9 +63,8 @@ def plan_per_exit_dvfs(
     comparable with the searched single-setting result.
 
     Costs come from :meth:`DynamicEvaluator.path_costs` — the cost-table
-    bank when the evaluator runs on tables (one O(exits) gather per setting
-    instead of an O(layers × exits) walk per (path, setting) pair), the
-    reference loop otherwise; plans are identical either way.
+    bank (one O(exits) gather per setting instead of an O(layers × exits)
+    walk per (path, setting) pair).
     """
     if latency_slack < 1.0:
         raise ValueError(f"latency_slack must be >= 1, got {latency_slack}")

@@ -46,22 +46,23 @@ class StreamSimulator:
         self.placement = placement
         self.governor = governor
         positions = placement.positions
-        self._path_reports: dict[tuple[int, float, float], tuple[float, float]] = {}
+        self._costs: dict[tuple[int, float, float], tuple[float, float]] = {}
         self._positions = positions
 
     def _path_cost(self, exit_index: int) -> tuple[float, float]:
         """(energy, latency) of leaving at ``exit_index`` under its setting."""
         setting = self.governor.setting_for(exit_index)
         key = (exit_index, setting.core_ghz, setting.emc_ghz)
-        if key not in self._path_reports:
+        if key not in self._costs:
+            exit_energy, exit_latency, full_energy, full_latency = (
+                self.evaluator.path_costs(self._positions, setting)
+            )
             if exit_index < len(self._positions):
-                report = self.evaluator._exit_path_report(
-                    self._positions, exit_index, setting
-                )
+                cost = (float(exit_energy[exit_index]), float(exit_latency[exit_index]))
             else:
-                report = self.evaluator._full_path_report(self._positions, setting)
-            self._path_reports[key] = (report.energy_j, report.latency_s)
-        return self._path_reports[key]
+                cost = (full_energy, full_latency)
+            self._costs[key] = cost
+        return self._costs[key]
 
     def simulate(
         self,

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import search as oracles
 from repro.accuracy.exit_model import BackboneExitOracle, _LruCache
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
@@ -108,7 +109,7 @@ class TestBatchedOracleBitIdentity:
     @given(placements=_placements_strategy())
     def test_matches_reference_oracle(self, placements):
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = oracles.reference(_oracle(), batched_oracle=False)
         got = batched.evaluate_placements(placements)
         want = reference.evaluate_placements(placements)
         for g, w in zip(got, want):
@@ -118,7 +119,8 @@ class TestBatchedOracleBitIdentity:
         batched = _oracle()
         placement = _placement([MIN_EXIT_POSITION, _LAYERS - 1])
         (got,) = batched.evaluate_placements([placement])
-        _assert_stats_identical(got, _oracle(use_batched_stats=False).evaluate_placement(placement))
+        reference = oracles.reference(_oracle(), batched_oracle=False)
+        _assert_stats_identical(got, reference.evaluate_placement(placement))
 
     def test_duplicates_share_memoised_instance(self):
         batched = _oracle()
@@ -133,7 +135,7 @@ class TestBatchedOracleBitIdentity:
         nodes — fewer nodes than (placement, exit) pairs — with no effect
         on the counts."""
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = oracles.reference(_oracle(), batched_oracle=False)
         base = [6, 8, 10]
         family = [_placement(base[:k] + [tail]) for k in (1, 2, 3) for tail in (13, 15, 17)]
         got = batched.evaluate_placements(family)
@@ -147,7 +149,7 @@ class TestBatchedOracleBitIdentity:
         """A second batch extending the first's placements hits the prefix
         cache and still matches the reference."""
         batched = _oracle()
-        reference = _oracle(use_batched_stats=False)
+        reference = oracles.reference(_oracle(), batched_oracle=False)
         first = [_placement([6, 9]), _placement([7, 11])]
         batched.evaluate_placements(first)
         hits_before = batched.memo_stats()["prefix"]["hits"]
@@ -163,7 +165,7 @@ class TestBatchedOracleBitIdentity:
         """Tiny memo/prefix caps force constant eviction; results must not
         change (entries rebuild from the packed columns)."""
         tiny = _oracle(stats_memo_size=2, prefix_cache_size=2)
-        reference = _oracle(use_batched_stats=False)
+        reference = oracles.reference(_oracle(), batched_oracle=False)
         got = tiny.evaluate_placements(placements)
         for g, placement in zip(got, placements):
             _assert_stats_identical(g, reference.evaluate_placement(placement))
@@ -245,8 +247,10 @@ class _EvalContext:
         )
         self.kwargs = kwargs
         self.fused = DynamicEvaluator(**kwargs)
-        self.reference = DynamicEvaluator(**kwargs, use_fused_objectives=False)
-        self.loop = DynamicEvaluator(**kwargs, use_tables=False)
+        self.reference = oracles.reference(
+            DynamicEvaluator(**kwargs), fused_objectives=False
+        )
+        self.loop = oracles.reference(DynamicEvaluator(**kwargs), tables=False)
 
 
 _EVAL_CONTEXTS: dict[str, _EvalContext] = {}
@@ -417,8 +421,9 @@ class TestEngineEquivalence:
         on = InnerEngine(
             backbone, static_evaluator, fraction, nsga=nsga, seed=11
         )
-        off = InnerEngine(
-            backbone, static_evaluator, fraction, nsga=nsga, seed=11, **off_flags
+        off = oracles.reference(
+            InnerEngine(backbone, static_evaluator, fraction, nsga=nsga, seed=11),
+            **off_flags,
         )
         return on, off
 
@@ -426,8 +431,8 @@ class TestEngineEquivalence:
         on, off = self._engines(
             static_evaluator,
             surrogate,
-            use_batched_oracle=False,
-            use_fused_objectives=False,
+            batched_oracle=False,
+            fused_objectives=False,
         )
         result_on, result_off = on.run(), off.run()
         assert [i.key() for i in result_on.explored] == [
@@ -445,8 +450,8 @@ class TestEngineEquivalence:
         on, off = self._engines(
             static_evaluator,
             surrogate,
-            use_batched_oracle=False,
-            use_fused_objectives=False,
+            batched_oracle=False,
+            fused_objectives=False,
         )
         search_on = RandomSearch(on.problem, budget=20, rng=5)
         search_off = RandomSearch(off.problem, budget=20, rng=5)

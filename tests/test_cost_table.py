@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.search import accumulate_reference, reference
 from repro.accuracy.exit_model import BackboneExitOracle, ExitCapabilityModel
 from repro.arch.cost import estimate_cost, exit_branch_cost
 from repro.baselines.attentivenas import attentivenas_model
@@ -60,7 +61,7 @@ def _context(platform_key: str) -> dict:
             "cost": cost,
             "dvfs": dvfs,
             "vectorized": DynamicEvaluator(**kwargs),
-            "reference": DynamicEvaluator(**kwargs, use_tables=False),
+            "reference": reference(DynamicEvaluator(**kwargs), tables=False),
         }
     return _CONTEXTS[platform_key]
 
@@ -122,16 +123,16 @@ class TestSettingCostTable:
             setting = ctx["dvfs"].sample(rng)
             table = SettingCostTable(model, cost, setting)
             for position in range(1, config.total_mbconv_layers + 1):
-                reference = model.composite_report_reference(
-                    cost.prefix(position), setting
+                reference = accumulate_reference(
+                    model, cost.prefix(position), setting
                 )
                 assert _report_fields(table.prefix_report(position)) == _report_fields(
                     reference
                 )
                 width, resolution = channels[position]
                 branch = exit_branch_cost(width, resolution, config.num_classes)
-                with_branch = model.composite_report_reference(
-                    list(cost.prefix(position)) + [branch], setting
+                with_branch = accumulate_reference(
+                    model, list(cost.prefix(position)) + [branch], setting
                 )
                 assert _report_fields(
                     table.prefix_report(position, exit_layer=branch)
@@ -143,7 +144,7 @@ class TestSettingCostTable:
         setting = ctx["dvfs"].default_setting()
         table = SettingCostTable(ctx["model"], ctx["cost"], setting)
         assert _report_fields(table.network_report()) == _report_fields(
-            ctx["model"].composite_report_reference(ctx["cost"].layers, setting)
+            accumulate_reference(ctx["model"], ctx["cost"].layers, setting)
         )
 
     def test_branch_terms_cached_per_position(self):
@@ -174,7 +175,7 @@ class TestSettingCostTable:
             assert _report_fields(
                 ctx["model"].composite_report(subset, setting)
             ) == _report_fields(
-                ctx["model"].composite_report_reference(subset, setting)
+                accumulate_reference(ctx["model"], subset, setting)
             )
 
 

@@ -84,8 +84,8 @@ class TestDynamicEvaluator:
         setting = static_evaluator.default_setting
         evaluation = dyn_evaluator.evaluate(placement, setting)
         usage = evaluation.exit_stats.usage
-        full = dyn_evaluator._full_path_report(placement.positions, setting)
-        manual = usage[:-1] @ evaluation.exit_energy_j + usage[-1] * full.energy_j
+        full_energy, _ = dyn_evaluator.full_path_cost(placement.positions, setting)
+        manual = usage[:-1] @ evaluation.exit_energy_j + usage[-1] * full_energy
         assert evaluation.dynamic_energy_j == pytest.approx(manual)
 
     def test_exit_paths_cumulative(self, dyn_evaluator, static_evaluator, a3):
@@ -99,8 +99,8 @@ class TestDynamicEvaluator:
     def test_full_path_costs_more_than_backbone(self, dyn_evaluator, static_evaluator, a3):
         placement = self._placement(a3)
         setting = static_evaluator.default_setting
-        full = dyn_evaluator._full_path_report(placement.positions, setting)
-        assert full.energy_j > dyn_evaluator.baseline_energy_j * 0.9
+        full_energy, _ = dyn_evaluator.full_path_cost(placement.positions, setting)
+        assert full_energy > dyn_evaluator.baseline_energy_j * 0.9
 
     def test_scores_eq6_composition(self, dyn_evaluator, static_evaluator, a3):
         placement = self._placement(a3)

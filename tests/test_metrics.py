@@ -8,15 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from oracles.search import non_dominated_mask_reference, non_dominated_sort_reference
 from repro.metrics.dominance_ratio import dominance_report, ratio_of_dominance
 from repro.metrics.hypervolume import hypervolume
 from repro.metrics.pareto import (
     crowding_distance,
     dominates,
     non_dominated_mask,
-    non_dominated_mask_reference,
     non_dominated_sort,
-    non_dominated_sort_reference,
     pareto_front,
 )
 

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.search import profiles_for_reference, reference
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
@@ -73,8 +74,8 @@ def _context(platform_key: str) -> dict:
             "settings": DvfsSpace(platform).all_settings(),
             "kwargs": kwargs,
             "population": DynamicEvaluator(**kwargs),
-            "per_call": DynamicEvaluator(**kwargs, use_population_kernel=False),
-            "reference": DynamicEvaluator(**kwargs, use_tables=False),
+            "per_call": reference(DynamicEvaluator(**kwargs), population=False),
+            "reference": reference(DynamicEvaluator(**kwargs), tables=False),
         }
     return _CONTEXTS[platform_key]
 
@@ -185,7 +186,7 @@ class TestPopulationBitIdentity:
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_fallback_without_population_kernel(self, platform_key):
-        """use_population_kernel=False routes through the per-placement
+        """population=False routes through the per-placement
         path but keeps the batched signature and result order."""
         ctx = _context(platform_key)
         total_layers = ctx["config"].total_mbconv_layers
@@ -331,7 +332,9 @@ class TestRuntimePathsViaBank:
         }
         governor = DvfsGovernor(ctx["dvfs"].default_setting(), per_exit=per_exit)
         table_profiles = _profiles_for(ctx["population"], placement, governor)
-        reference_profiles = _profiles_for(ctx["reference"], placement, governor)
+        reference_profiles = profiles_for_reference(
+            ctx["reference"], placement, governor
+        )
         assert len(table_profiles) == len(placement.positions) + 1
         for got, want in zip(table_profiles, reference_profiles):
             assert got.busy_s == want.busy_s

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles.search import reference
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
@@ -299,6 +300,39 @@ class TestStreamSimulator:
         exit_logits, final_logits, labels = _stream(n=10, exits=2)
         with pytest.raises(ValueError):
             simulator.simulate(exit_logits, final_logits, labels, OracleController())
+
+    def test_warm_bank_prices_paths_from_tables(self, simulator):
+        """With the bank warm at the governor's setting, a fresh simulator
+        prices every path without one per-layer timing call, and its report
+        equals the per-layer reference loop's byte for byte."""
+        evaluator = simulator.evaluator
+        evaluator.bank.table(simulator.governor.setting_for(0))
+        latency = evaluator.energy_model.latency
+        before = latency.layer_timing_calls
+        exit_logits, final_logits, labels = _stream(n=80, exits=3)
+        fresh = StreamSimulator(evaluator, simulator.placement, simulator.governor)
+        report = fresh.simulate(exit_logits, final_logits, labels, OracleController())
+        assert latency.layer_timing_calls == before
+
+        loop_evaluator = reference(
+            DynamicEvaluator(
+                config=evaluator.config,
+                cost=evaluator.cost,
+                oracle=evaluator.oracle,
+                energy_model=EnergyModel(evaluator.energy_model.platform),
+                baseline_energy_j=evaluator.baseline_energy_j,
+                baseline_latency_s=evaluator.baseline_latency_s,
+            ),
+            tables=False,
+        )
+        loop = StreamSimulator(loop_evaluator, simulator.placement, simulator.governor)
+        want = loop.simulate(exit_logits, final_logits, labels, OracleController())
+        assert loop_evaluator.energy_model.latency.layer_timing_calls > 0
+        scalars = ("accuracy", "mean_energy_j", "mean_latency_s", "switching_energy_j")
+        for name in scalars:
+            got_bytes = np.float64(getattr(report, name)).tobytes()
+            assert got_bytes == np.float64(getattr(want, name)).tobytes()
+        assert report.exit_usage.tobytes() == want.exit_usage.tobytes()
 
     def test_switching_cost_accounted(self, static_evaluator, surrogate, simulator):
         exit_logits, final_logits, labels = _stream(n=40, exits=3)

@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles.search import path_profile
 from repro.engine.cache import ResultCache
 from repro.hardware.energy import PathProfile, batched_execution
 from repro.serving import (
@@ -171,7 +172,7 @@ class TestBatchedExecution:
         dvfs = DvfsSpace(evaluator.energy_model.platform)
         for s in (dvfs.default_setting(), dvfs.decode(0, 0)):
             layers = list(evaluator.cost.layers)
-            profile = evaluator.energy_model.path_profile(layers, s)
+            profile = path_profile(evaluator.energy_model, layers, s)
             report = evaluator.energy_model.composite_report(layers, s)
             assert profile.latency_s == pytest.approx(report.latency_s)
             assert profile.energy_j == pytest.approx(report.energy_j)
