@@ -8,6 +8,10 @@ per-architecture residual.  The two free scale parameters are solved exactly
 from the a0/a6 anchors, so the surrogate reproduces the paper's endpoints by
 construction and interpolates the rest of the space smoothly.
 
+Each public call computes the feature vector once -- one backbone lowering,
+or none when the caller passes the ``NetworkCost`` it already holds -- and
+both the capacity and the balance terms read that one vector.
+
 The search algorithms consume only the induced *ranking landscape*; shape
 fidelity (monotone-with-saturation, realistic spread, mild non-additivity,
 noise) is what matters, not per-architecture ground truth (DESIGN.md §1).
@@ -21,7 +25,7 @@ import numpy as np
 
 from repro.accuracy.calibration import DEFAULT_ANCHORS, CalibrationAnchors
 from repro.arch.config import BackboneConfig
-from repro.arch.cost import estimate_cost
+from repro.arch.cost import NetworkCost, estimate_cost
 from repro.arch.space import BackboneSpace
 from repro.baselines.attentivenas import attentivenas_model
 from repro.utils.rng import child_rng
@@ -65,8 +69,11 @@ class AccuracySurrogate:
         self._c0, self._c1 = self._solve_scale()
 
     # ------------------------------------------------------------- features
-    def _raw_features(self, config: BackboneConfig) -> np.ndarray:
-        cost = estimate_cost(config)
+    def _raw_features(
+        self, config: BackboneConfig, cost: NetworkCost | None = None
+    ) -> np.ndarray:
+        if cost is None:
+            cost = estimate_cost(config)
         log_macs = math.log10(max(cost.total_macs, 1.0))
         depth = float(config.total_mbconv_layers)
         res = float(config.resolution)
@@ -79,19 +86,31 @@ class AccuracySurrogate:
         span = np.where(hi - lo <= 0, 1.0, hi - lo)
         return lo, span
 
-    def capacity_score(self, config: BackboneConfig) -> float:
-        """Normalised capacity in [0, 1] (clipped for off-space configs)."""
+    def _features(
+        self, config: BackboneConfig, cost: NetworkCost | None = None
+    ) -> np.ndarray:
+        """Normalised features in [0, 1] (clipped for off-space configs).
+
+        Computed once per public call and shared by the capacity and
+        balance terms, so each call lowers the backbone at most once.
+        """
         lo, span = self._bounds
-        feats = np.clip((self._raw_features(config) - lo) / span, 0.0, 1.0)
+        return np.clip((self._raw_features(config, cost) - lo) / span, 0.0, 1.0)
+
+    @staticmethod
+    def _capacity(feats: np.ndarray) -> float:
         weights = np.asarray([_W_MACS, _W_RES, _W_DEPTH, _W_EXPAND])
         return float(weights @ feats)
 
-    def _balance_penalty(self, config: BackboneConfig) -> float:
-        lo, span = self._bounds
-        feats = np.clip((self._raw_features(config) - lo) / span, 0.0, 1.0)
+    @staticmethod
+    def _balance_penalty(feats: np.ndarray) -> float:
         depth_norm = feats[2]
         width_norm = feats[0]  # log-MACs tracks width closely at fixed depth
         return _BALANCE_PENALTY * abs(depth_norm - width_norm)
+
+    def capacity_score(self, config: BackboneConfig) -> float:
+        """Normalised capacity in [0, 1] (clipped for off-space configs)."""
+        return self._capacity(self._features(config))
 
     @staticmethod
     def _saturating(z: float) -> float:
@@ -99,29 +118,42 @@ class AccuracySurrogate:
 
     def _solve_scale(self) -> tuple[float, float]:
         """Fit acc = c0 + c1 * g(z) exactly through the a0/a6 anchors."""
-        a0 = attentivenas_model("a0", num_classes=self.space.num_classes)
-        a6 = attentivenas_model("a6", num_classes=self.space.num_classes)
-        g0 = self._saturating(self.capacity_score(a0))
-        g6 = self._saturating(self.capacity_score(a6))
+        f0 = self._features(attentivenas_model("a0", num_classes=self.space.num_classes))
+        f6 = self._features(attentivenas_model("a6", num_classes=self.space.num_classes))
+        g0 = self._saturating(self._capacity(f0))
+        g6 = self._saturating(self._capacity(f6))
         if abs(g6 - g0) < 1e-9:
             raise RuntimeError("anchor architectures have identical capacity scores")
-        target0 = self.anchors.a0_accuracy + self._balance_penalty(a0)
-        target6 = self.anchors.a6_accuracy + self._balance_penalty(a6)
+        target0 = self.anchors.a0_accuracy + self._balance_penalty(f0)
+        target6 = self.anchors.a6_accuracy + self._balance_penalty(f6)
         c1 = (target6 - target0) / (g6 - g0)
         c0 = target0 - c1 * g0
         return c0, c1
 
     # ------------------------------------------------------------ interface
-    def noiseless_accuracy(self, config: BackboneConfig) -> float:
-        """Accuracy (%) without the per-architecture residual."""
-        g = self._saturating(self.capacity_score(config))
-        return self._c0 + self._c1 * g - self._balance_penalty(config)
+    def noiseless_accuracy(
+        self, config: BackboneConfig, cost: NetworkCost | None = None
+    ) -> float:
+        """Accuracy (%) without the per-architecture residual.
 
-    def accuracy(self, config: BackboneConfig) -> float:
-        """Predicted CIFAR-100 top-1 accuracy (%), deterministic per config."""
+        ``cost`` is the config's default :func:`estimate_cost` lowering when
+        the caller already holds it; otherwise it is computed here, once.
+        """
+        feats = self._features(config, cost)
+        g = self._saturating(self._capacity(feats))
+        return self._c0 + self._c1 * g - self._balance_penalty(feats)
+
+    def accuracy(
+        self, config: BackboneConfig, cost: NetworkCost | None = None
+    ) -> float:
+        """Predicted CIFAR-100 top-1 accuracy (%), deterministic per config.
+
+        ``cost`` as in :meth:`noiseless_accuracy`: passing the lowering the
+        caller already owns skips the surrogate's own.
+        """
         rng = child_rng(self.seed, "acc-noise", config.key)
         noise = float(np.clip(rng.normal(0.0, _NOISE_STD), -2 * _NOISE_STD, 2 * _NOISE_STD))
-        return float(np.clip(self.noiseless_accuracy(config) + noise, 1.0, 99.5))
+        return float(np.clip(self.noiseless_accuracy(config, cost) + noise, 1.0, 99.5))
 
     def accuracy_fraction(self, config: BackboneConfig) -> float:
         """Accuracy as a fraction in [0, 1] (what the exit oracle consumes)."""

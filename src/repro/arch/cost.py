@@ -6,6 +6,11 @@ arithmetic work (MACs) and its DRAM traffic (activation + weight bytes).
 MBConv layers are lowered into their expand / depthwise / (SE) / project
 sub-convolutions, which have very different arithmetic intensities — that is
 precisely what makes different subnets prefer different DVFS points.
+
+Sub-ops are summed in place: each contributes one tuple of field values,
+and the layer's fields are those tuples summed in execution order, so one
+``LayerCost`` is built per layer.  The frozen per-part lowering that the
+sums must reproduce bit for bit is ``tests/oracles/arch.py``.
 """
 
 from __future__ import annotations
@@ -109,44 +114,36 @@ class NetworkCost:
         return sum(layer.macs for layer in self.prefix(position))
 
 
-def _conv_cost(
-    name: str,
-    kind: str,
-    index: int,
+def _conv_fields(
     in_ch: int,
     out_ch: int,
     kernel: int,
     in_res: int,
     out_res: int,
+    bytes_per_element: float,
     groups: int = 1,
-    bytes_per_element: float = DEFAULT_BYTES_PER_ELEMENT,
-    bn: bool = True,
-) -> LayerCost:
+) -> tuple[float, float, float, float, float]:
+    """``(macs, params, input_bytes, output_bytes, weight_bytes)`` of one
+    conv-BN op, in :class:`LayerCost` field order."""
     macs = out_res * out_res * (in_ch // groups) * out_ch * kernel * kernel
-    params = (in_ch // groups) * out_ch * kernel * kernel + (2 * out_ch if bn else 0)
-    return LayerCost(
-        name=name,
-        kind=kind,
-        index=index,
-        macs=float(macs),
-        params=float(params),
-        input_bytes=float(in_res * in_res * in_ch * bytes_per_element),
-        output_bytes=float(out_res * out_res * out_ch * bytes_per_element),
-        weight_bytes=float(params * bytes_per_element),
+    params = (in_ch // groups) * out_ch * kernel * kernel + 2 * out_ch
+    return (
+        float(macs),
+        float(params),
+        float(in_res * in_res * in_ch * bytes_per_element),
+        float(out_res * out_res * out_ch * bytes_per_element),
+        float(params * bytes_per_element),
     )
 
 
-def _merge(name: str, kind: str, index: int, parts: list[LayerCost]) -> LayerCost:
-    return LayerCost(
-        name=name,
-        kind=kind,
-        index=index,
-        macs=sum(p.macs for p in parts),
-        params=sum(p.params for p in parts),
-        input_bytes=sum(p.input_bytes for p in parts),
-        output_bytes=sum(p.output_bytes for p in parts),
-        weight_bytes=sum(p.weight_bytes for p in parts),
-    )
+def _summed(name: str, kind: str, index: int, parts: list[tuple]) -> LayerCost:
+    """One layer whose fields are its parts' field tuples summed in order.
+
+    Each field is one ``sum`` over the parts in execution order -- the same
+    additions, in the same order, as summing per-part ``LayerCost`` objects
+    field by field -- so the totals are bit-identical for any byte width.
+    """
+    return LayerCost(name, kind, index, *map(sum, zip(*parts)))
 
 
 def _mbconv_cost(
@@ -154,38 +151,33 @@ def _mbconv_cost(
     include_se: bool,
     bytes_per_element: float,
 ) -> LayerCost:
+    """One MBConv layer: expand, depthwise, (SE), project summed in place.
+
+    The sub-ops are field tuples, not ``LayerCost`` objects, summed in that
+    order; the frozen per-part lowering this must match bit for bit lives
+    in ``tests/oracles/arch.py``.
+    """
     in_ch, out_ch = spec.in_channels, spec.out_channels
     mid = in_ch * spec.expand
     in_res, out_res = spec.in_resolution, spec.out_resolution
-    parts: list[LayerCost] = []
+    parts = []
     if spec.expand > 1:
-        parts.append(
-            _conv_cost("expand", "sub", 0, in_ch, mid, 1, in_res, in_res,
-                       bytes_per_element=bytes_per_element)
-        )
+        parts.append(_conv_fields(in_ch, mid, 1, in_res, in_res, bytes_per_element))
     parts.append(
-        _conv_cost(
-            "depthwise", "sub", 0, mid, mid, spec.kernel, in_res, out_res,
-            groups=mid, bytes_per_element=bytes_per_element,
-        )
+        _conv_fields(mid, mid, spec.kernel, in_res, out_res, bytes_per_element, groups=mid)
     )
     if include_se:
         se_ch = max(1, mid // SE_REDUCTION)
-        se_macs = 2.0 * mid * se_ch + mid  # squeeze FC + excite FC + rescale
         se_params = 2.0 * mid * se_ch + mid + se_ch
-        parts.append(
-            LayerCost(
-                "se", "sub", 0, se_macs, se_params,
-                input_bytes=float(mid * bytes_per_element),
-                output_bytes=float(mid * bytes_per_element),
-                weight_bytes=float(se_params * bytes_per_element),
-            )
-        )
-    parts.append(
-        _conv_cost("project", "sub", 0, mid, out_ch, 1, out_res, out_res,
-                   bytes_per_element=bytes_per_element)
-    )
-    return _merge(f"mbconv{spec.index}", "mbconv", spec.index, parts)
+        parts.append((
+            2.0 * mid * se_ch + mid,  # squeeze FC + excite FC + rescale
+            se_params,
+            float(mid * bytes_per_element),
+            float(mid * bytes_per_element),
+            float(se_params * bytes_per_element),
+        ))
+    parts.append(_conv_fields(mid, out_ch, 1, out_res, out_res, bytes_per_element))
+    return _summed(f"mbconv{spec.index}", "mbconv", spec.index, parts)
 
 
 def estimate_cost(
@@ -197,19 +189,17 @@ def estimate_cost(
     cost = NetworkCost(config_key=config.key)
     for spec in config.layers():
         if spec.kind == "stem":
-            cost.layers.append(
-                _conv_cost("stem", "stem", 0, spec.in_channels, spec.out_channels,
-                           spec.kernel, spec.in_resolution, spec.out_resolution,
-                           bytes_per_element=bytes_per_element)
-            )
+            cost.layers.append(LayerCost("stem", "stem", 0, *_conv_fields(
+                spec.in_channels, spec.out_channels, spec.kernel,
+                spec.in_resolution, spec.out_resolution, bytes_per_element,
+            )))
         elif spec.kind == "mbconv":
             cost.layers.append(_mbconv_cost(spec, include_se, bytes_per_element))
         elif spec.kind == "head":
-            cost.layers.append(
-                _conv_cost("head", "head", 0, spec.in_channels, spec.out_channels,
-                           1, spec.in_resolution, spec.out_resolution,
-                           bytes_per_element=bytes_per_element)
-            )
+            cost.layers.append(LayerCost("head", "head", 0, *_conv_fields(
+                spec.in_channels, spec.out_channels, 1,
+                spec.in_resolution, spec.out_resolution, bytes_per_element,
+            )))
         elif spec.kind == "classifier":
             macs = float(spec.in_channels * spec.out_channels)
             params = float(spec.in_channels * spec.out_channels + spec.out_channels)
@@ -240,14 +230,13 @@ def exit_branch_cost(
     channel count.
     """
     width = branch_width or in_channels
-    conv = _conv_cost("exit_conv", "sub", 0, in_channels, width, 3,
-                      resolution, resolution, bytes_per_element=bytes_per_element)
-    fc_macs = float(width * num_classes)
+    conv = _conv_fields(in_channels, width, 3, resolution, resolution, bytes_per_element)
     fc_params = float(width * num_classes + num_classes)
-    fc = LayerCost(
-        "exit_fc", "sub", 0, fc_macs, fc_params,
-        input_bytes=float(width * bytes_per_element),
-        output_bytes=float(num_classes * bytes_per_element),
-        weight_bytes=float(fc_params * bytes_per_element),
+    fc = (
+        float(width * num_classes),
+        fc_params,
+        float(width * bytes_per_element),
+        float(num_classes * bytes_per_element),
+        float(fc_params * bytes_per_element),
     )
-    return _merge("exit_branch", "exit", 0, [conv, fc])
+    return _summed("exit_branch", "exit", 0, [conv, fc])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.arch import estimate_cost_reference, exit_branch_cost_reference
 from repro.arch.config import STAGE_STRIDES, BackboneConfig, StageConfig
 from repro.arch.cost import estimate_cost, exit_branch_cost
 from repro.arch.space import BackboneSpace, miniature_space
@@ -20,6 +21,12 @@ def genomes(draw, space: BackboneSpace):
 
 
 FULL_SPACE = BackboneSpace()
+MINI_SPACE = miniature_space()
+
+#: Byte widths for the oracle diff.  Integral and half-integral widths give
+#: exact per-field sums in any order; 0.3 and 1/3 round, so only they catch
+#: a change in the order the MBConv parts are added.
+BYTE_WIDTHS = (4.0, 2.0, 1.0, 0.3, 1 / 3)
 
 
 class TestStageConfig:
@@ -234,3 +241,38 @@ class TestCostModel:
         classifier = cost.layers[-1]
         expected = config.head_width * config.num_classes + config.num_classes
         assert classifier.params == expected
+
+
+class TestLoweringMatchesOracle:
+    """Production lowering equals the frozen per-part lowering bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        space=st.sampled_from((FULL_SPACE, MINI_SPACE)),
+        include_se=st.booleans(),
+        bytes_per_element=st.sampled_from(BYTE_WIDTHS),
+    )
+    def test_every_field_equal(self, data, space, include_se, bytes_per_element):
+        config = space.decode(data.draw(genomes(space)))
+        got = estimate_cost(config, include_se, bytes_per_element)
+        want = estimate_cost_reference(config, include_se, bytes_per_element)
+        assert got.config_key == want.config_key
+        assert got.layers == want.layers
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        in_channels=st.integers(1, 256),
+        resolution=st.integers(1, 56),
+        num_classes=st.integers(1, 1000),
+        branch_width=st.one_of(st.none(), st.integers(1, 256)),
+        bytes_per_element=st.sampled_from(BYTE_WIDTHS),
+    )
+    def test_exit_branch_equal(
+        self, in_channels, resolution, num_classes, branch_width, bytes_per_element
+    ):
+        assert exit_branch_cost(
+            in_channels, resolution, num_classes, branch_width, bytes_per_element
+        ) == exit_branch_cost_reference(
+            in_channels, resolution, num_classes, branch_width, bytes_per_element
+        )

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accuracy import surrogate as surrogate_module
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
+from repro.eval import static as static_module
 from repro.eval.dynamic import DynamicEvaluator
 from repro.eval.static import StaticEvaluator
 from repro.exits.placement import ExitPlacement
@@ -59,6 +61,28 @@ class TestStaticEvaluator:
 
     def test_cost_cached(self, static_evaluator, a3):
         assert static_evaluator.cost(a3) is static_evaluator.cost(a3)
+
+    def test_one_lowering_per_fresh_backbone(self, tx2_gpu, surrogate, space, monkeypatch):
+        """The measurement and the surrogate share one ``estimate_cost``
+        per fresh backbone; repeats are served from the evaluator's caches."""
+        lowered = []
+
+        def counting(config, *args, **kwargs):
+            lowered.append(config.key)
+            return estimate_cost(config, *args, **kwargs)
+
+        monkeypatch.setattr(static_module, "estimate_cost", counting)
+        monkeypatch.setattr(surrogate_module, "estimate_cost", counting)
+        evaluator = StaticEvaluator(tx2_gpu, surrogate, seed=0)
+        rng = np.random.default_rng(15)
+        configs = {}
+        while len(configs) < 12:
+            config = space.sample(rng)
+            configs[config.key] = config
+        for _ in range(2):
+            for config in configs.values():
+                evaluator.evaluate(config)
+        assert sorted(lowered) == sorted(configs)
 
 
 class TestDynamicEvaluator:

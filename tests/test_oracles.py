@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles.arch import estimate_cost_reference, exit_branch_cost_reference
 from oracles.search import (
     non_dominated_mask_reference,
     non_dominated_sort_reference,
@@ -29,6 +30,7 @@ from oracles.search import (
 )
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
+from repro.arch.space import BackboneSpace, miniature_space
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
@@ -53,9 +55,11 @@ PROFILES_DIGEST = "6883632780f013175de190bfbdc812af"
 SORT_DIGEST = "a6a3309d3780ce2fc9f71ae402f268d1"
 MASK_DIGEST = "926ac597561775642aa10874e0bd0476"
 ENGINE_DIGEST = "40ffe09ee4e2d195d4929478c7cd47fb"
+LOWERING_DIGEST = "9272e1c56f571eb0a1f8f07147695d60"
 
 #: Names that must never reappear in ``src/repro``: the search-kernel
-#: flags and the reference bodies they selected, which live only here.
+#: flags, the reference bodies they selected and the per-part cost
+#: lowering, which live only here.
 RETIRED_NAMES = frozenset({
     "use_tables",
     "use_population_kernel",
@@ -68,6 +72,10 @@ RETIRED_NAMES = frozenset({
     "non_dominated_sort_reference",
     "_exit_path_report",
     "_full_path_report",
+    "_conv_cost",
+    "_merge",
+    "estimate_cost_reference",
+    "exit_branch_cost_reference",
 })
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -249,6 +257,41 @@ class TestInnerEngineOracle:
             digest.ints(individual.key())
             digest.floats(individual.objectives)
         assert digest.hexdigest() == ENGINE_DIGEST
+
+
+def _lowering_digest(lower, branch) -> str:
+    """Every field of ``lower`` over seeded configs of both spaces, with and
+    without SE, plus ``branch`` at a few attachment points.
+
+    The byte widths keep every per-field sum exact, so the digest does not
+    depend on how the interpreter's ``sum`` rounds float totals.
+    """
+    digest = _Digest()
+    rng = np.random.default_rng(15)
+    for space in (BackboneSpace(), miniature_space()):
+        for _ in range(40):
+            config = space.sample(rng)
+            for include_se in (True, False):
+                for bytes_per_element in (4.0, 1.0, 0.5):
+                    cost = lower(config, include_se, bytes_per_element)
+                    digest.ints([layer.index for layer in cost.layers])
+                    digest.floats([
+                        (layer.macs, layer.params, layer.input_bytes,
+                         layer.output_bytes, layer.weight_bytes)
+                        for layer in cost.layers
+                    ])
+    for in_channels, resolution, width in ((32, 14, None), (128, 7, 16), (24, 28, 48)):
+        for num_classes in (10, 100):
+            layer = branch(in_channels, resolution, num_classes, width, 0.5)
+            digest.floats([layer.macs, layer.params, layer.input_bytes,
+                           layer.output_bytes, layer.weight_bytes])
+    return digest.hexdigest()
+
+
+class TestLoweringOracle:
+    def test_golden_digest(self):
+        got = _lowering_digest(estimate_cost_reference, exit_branch_cost_reference)
+        assert got == LOWERING_DIGEST
 
 
 def _identifiers(tree: ast.AST):

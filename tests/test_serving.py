@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.search import path_profile
 from repro.engine.cache import ResultCache
@@ -655,3 +657,45 @@ class TestAdmissionAndSloClasses:
         best = report.class_stats["best_effort"]
         assert crit["num_served"] > 20 and best["num_served"] > 20
         assert crit["latency_ms_p95"] <= best["latency_ms_p95"]
+
+
+# ------------------------------------------------------------ conservation
+class TestServingConservation:
+    """Accounting laws of the single-device engine on its own: no reference
+    run is involved, so these hold for any future serving core."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        pattern=st.sampled_from(("poisson", "bursty")),
+        policy=st.sampled_from(("static", "adaptive")),
+        crit=st.sampled_from((0.0, 0.25, 1.0)),
+        max_queue=st.sampled_from((None, 3, 8)),
+        mode=st.sampled_from(("drop", "defer")),
+    )
+    def test_served_dropped_and_usage_conserve(
+        self, seed, pattern, policy, crit, max_queue, mode
+    ):
+        report = run_serving_cell(
+            ServingSpec(
+                pattern=pattern,
+                policy=policy,
+                seed=seed,
+                duration_s=2.0,
+                utilization=0.95,
+                critical_fraction=crit,
+                admission_max_queue=max_queue,
+                admission_mode=mode,
+            )
+        )
+        n = report.num_requests
+        assert report.num_served + report.num_dropped == n
+        classes = report.class_stats.values()
+        for stats in classes:
+            assert stats["num_served"] + stats["num_dropped"] == stats["num_requests"]
+        assert sum(stats["num_requests"] for stats in classes) == n
+        assert sum(stats["num_served"] for stats in classes) == report.num_served
+        assert sum(stats["num_dropped"] for stats in classes) == report.num_dropped
+        if report.num_served:
+            assert sum(report.exit_usage) == pytest.approx(1.0, abs=1e-9)
+        assert report.latency_ms_p50 <= report.latency_ms_p95 <= report.latency_ms_p99
