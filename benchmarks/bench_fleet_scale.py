@@ -1,11 +1,11 @@
 """Serving-core scale benchmark: trace size × fleet size, old vs new engine.
 
-Measures the million-request serving core this PR introduces: the
-vectorized trace generators, the array-backed batcher and the indexed
-event loop with compiled per-config pricing — against the retained
-reference engine (``MicroBatcher`` + per-batch ``execute_batch``), which
-is the pre-PR per-request/per-batch Python loop, kept bit-identical as
-``ServingSimulator(engine="reference")``.
+Measures the million-request serving core: the vectorized trace
+generators, the array-backed batcher and the indexed event loop with
+compiled per-config pricing — against the frozen reference engine
+(``MicroBatcher`` + per-batch ``execute_batch``), the original
+per-request/per-batch Python loop, kept bit-identical as
+``ReferenceServingSimulator`` in ``tests/oracles/serving.py``.
 
 The grid sweeps trace scales (10⁴ → 10⁶ requests by default) down one
 axis and fleet compositions (single device, duo, quad) down the other,
@@ -17,8 +17,9 @@ so the speedup contract compares the indexed engine's largest run against
 the reference engine's largest feasible run.
 
 Fleet rows sweep the same engine axis: every fleet × scale cell runs the
-per-arrival ``FleetSimulator(engine="indexed")`` event loop and the scalar
-``engine="reference"`` loop up to ``--reference-cap``.
+per-arrival ``FleetSimulator`` event loop ("indexed") and the frozen
+scalar ``ReferenceFleetSimulator`` loop ("reference") up to
+``--reference-cap``.
 
 Contracts (asserted):
 
@@ -50,6 +51,7 @@ import argparse
 import resource
 import sys
 import time
+from pathlib import Path
 
 from repro.obs import trace as obs_trace
 from repro.obs.export import counter_rollup
@@ -65,6 +67,17 @@ from repro.serving.harness import ServingSpec, build_serving_stack
 from repro.serving.simulator import ServingSimulator
 from repro.serving.workload import make_trace
 from repro.utils.serialization import save_json
+
+# The reference engines are the frozen oracles of the test suite.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from oracles.serving import (  # noqa: E402
+    ReferenceFleetSimulator,
+    ReferenceServingSimulator,
+)
+
+#: Single-device and fleet simulators by engine label.
+SIMULATORS = {"reference": ReferenceServingSimulator, "indexed": ServingSimulator}
+FLEET_SIMULATORS = {"reference": ReferenceFleetSimulator, "indexed": FleetSimulator}
 
 #: Fleet compositions on the second axis (1 × is the single-device engine).
 FLEETS = {
@@ -84,7 +97,7 @@ def _simulator(stack, spec: ServingSpec, engine: str) -> ServingSimulator:
         policy = StaticPolicy(stack.static_config)
     else:
         policy = AdaptiveGovernor(stack.ladder, stack.batch_policy)
-    return ServingSimulator(
+    return SIMULATORS[engine](
         evaluator=stack.evaluator,
         placement=stack.placement,
         policy=policy,
@@ -93,7 +106,6 @@ def _simulator(stack, spec: ServingSpec, engine: str) -> ServingSimulator:
         slo_s=spec.slo_ms / 1e3,
         batch_policy=stack.batch_policy,
         window_s=spec.window_ms / 1e3,
-        engine=engine,
     )
 
 
@@ -127,7 +139,7 @@ def run_single(spec: ServingSpec, scale: int, engine: str, seed: int) -> dict:
 
 
 def _fleet_spec(
-    platforms: tuple[str, ...], scale: int, seed: int, engine: str, **extra
+    platforms: tuple[str, ...], scale: int, seed: int, **extra
 ) -> FleetSpec:
     """A fleet spec provisioned so the trace carries ``scale`` requests."""
     probe = FleetSpec(platforms=platforms, duration_s=1.0, seed=seed, **extra)
@@ -136,7 +148,6 @@ def _fleet_spec(
         platforms=platforms,
         duration_s=scale / fleet_rate,
         seed=seed,
-        engine=engine,
         **extra,
     )
 
@@ -149,12 +160,12 @@ def run_fleet(
     seed: int,
 ) -> dict:
     """One fleet cell at ``scale`` total requests across ``platforms``."""
-    spec = _fleet_spec(platforms, scale, seed, engine)
+    spec = _fleet_spec(platforms, scale, seed)
     stacks = build_fleet_stacks(spec)
     t0 = time.perf_counter()
     trace, stream = build_fleet_trace_and_stream(spec, stacks)
     trace_s = time.perf_counter() - t0
-    simulator = FleetSimulator(spec, stacks)
+    simulator = FLEET_SIMULATORS[engine](spec, stacks)
     t0 = time.perf_counter()
     report = simulator.run(trace, stream)
     wall_s = time.perf_counter() - t0
@@ -178,11 +189,11 @@ def check_fleet_identity(
 ) -> dict:
     """Run both engines on one shared (trace, stream) cell; full-field compare."""
     reports = {}
-    for engine in ("reference", "indexed"):
-        spec = _fleet_spec(platforms, scale, seed, engine)
+    for engine, simulator in FLEET_SIMULATORS.items():
+        spec = _fleet_spec(platforms, scale, seed)
         stacks = build_fleet_stacks(spec)
         trace, stream = build_fleet_trace_and_stream(spec, stacks)
-        reports[engine] = FleetSimulator(spec, stacks).run(trace, stream)
+        reports[engine] = simulator(spec, stacks).run(trace, stream)
     return {
         "scale": scale,
         "platforms": list(platforms),
@@ -203,7 +214,7 @@ def fleet_counter_rollup(
     # round_robin + bursty load: the load-blind router builds per-lane
     # imbalance, so batch sizes and governor decisions spread widely.
     spec = _fleet_spec(
-        platforms, scale, seed, "indexed",
+        platforms, scale, seed,
         pattern="bursty", utilization=0.95, router="round_robin",
     )
     stacks = build_fleet_stacks(spec)

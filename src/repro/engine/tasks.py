@@ -242,9 +242,6 @@ def _serving_cell(*, spec):
 
 @register_task("fleet-cell")
 def _fleet_cell(*, spec):
-    # ``spec.engine`` rides the FleetSpec into the cache key
-    # (FLEET_CELL_VERSION separates the dispatch-core generations), so both
-    # engines cache as distinct cells.
     from repro.serving.fleet import run_fleet_cell
 
     return run_fleet_cell(spec)

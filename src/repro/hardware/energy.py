@@ -79,12 +79,17 @@ def batched_execution(profiles: Sequence[PathProfile]) -> tuple[float, float]:
     if not profiles:
         return 0.0, 0.0
     longest = max(profiles, key=lambda p: p.overhead_s)
-    latency = sum(p.busy_s for p in profiles) + longest.overhead_s
-    energy = (
-        sum(p.dynamic_energy_j + p.passive_power_w * p.busy_s for p in profiles)
-        + longest.passive_power_w * longest.overhead_s
+    # Left to right, not builtin ``sum``: Python >= 3.12 compensates float
+    # sums, which would make batch prices depend on the interpreter.
+    busy = 0.0
+    energy = 0.0
+    for p in profiles:
+        busy += p.busy_s
+        energy += p.dynamic_energy_j + p.passive_power_w * p.busy_s
+    return (
+        busy + longest.overhead_s,
+        energy + longest.passive_power_w * longest.overhead_s,
     )
-    return latency, energy
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ the single-device stack).  One trace arrives at a shared front door; a
 pluggable :class:`~repro.serving.router.FleetRouter` assigns every request
 to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
-batches and serves its share exactly like the single-device simulator
-would.  Lanes carry request *indices*, not objects, and price batches
-through the same compiled per-config executor as the indexed single-device
-engine (:class:`~repro.serving.simulator._CompiledConfig`) — bit-identical
-to the per-batch reference path.
+batches and serves its share with the single-device simulator's batching
+and governor semantics.  Lanes carry request *indices*, not objects, and
+price batches through the same compiled per-config executor as the
+single-device simulator (:class:`~repro.serving.simulator._CompiledConfig`).
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -25,8 +24,14 @@ served requests only.
 Dispatch is deterministic: requests are routed in arrival order, and a
 lane only forms a batch once no future arrival could still join it (the
 same two-trigger + opportunistic-fill semantics as
-:class:`~repro.serving.batcher.MicroBatcher`, re-derived for a queue that
-grows one routed request at a time).
+:class:`~repro.serving.batcher.ArrayBatcher`, re-derived for a queue that
+grows one routed request at a time).  Lane queues are FIFO: unlike the
+single-device simulator, which dispatches latency-critical requests first,
+a lane serves its queue in arrival order whatever the class, so a one-lane
+fleet and the single device differ whenever 0 < ``critical_fraction`` < 1.
+
+The frozen per-request reference loop this engine reproduces bit for bit
+lives in ``tests/oracles/serving.py``.
 
 :func:`run_fleet_cell` is the pure cell function; :func:`fleet_sweep` fans
 grids through the :class:`~repro.engine.service.EvaluationService` with
@@ -76,7 +81,6 @@ from repro.serving.router import (
 )
 from repro.serving.scenarios import Scenario, ThermalState, get_scenario
 from repro.serving.simulator import (
-    ENGINE_NAMES,
     CompiledStream,
     _CompiledConfig,
     compile_stream,
@@ -128,7 +132,6 @@ class FleetSpec:
     critical_fraction: float = 0.0  # share of latency-critical arrivals
     admission_max_queue: int | None = None  # per-lane cap; None = unbounded
     admission_critical_bypass: bool = True
-    engine: str = "indexed"  # "indexed" (per-arrival event loop) or "reference"
 
     def __post_init__(self):
         if not self.platforms:
@@ -154,10 +157,6 @@ class FleetSpec:
             raise ValueError("critical_fraction must lie in [0, 1]")
         if self.admission_max_queue is not None:
             check_positive("admission_max_queue", self.admission_max_queue)
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; valid: {ENGINE_NAMES}"
-            )
 
     def device_spec(self, platform: str, rate_hz: float | None = None) -> ServingSpec:
         """The single-device spec a fleet member is built from."""
@@ -276,9 +275,8 @@ class FleetReport:
 class DeviceLane:
     """One fleet member: a serving stack plus its live queue and meters.
 
-    The lane exposes the read-only :class:`~repro.serving.router.LaneState`
-    surface routers observe (queue depth, estimated wait, reference
-    capacity/energy) and owns the per-device governor state the simulator
+    The lane exposes what routers observe (device-free time, queue depth,
+    reference capacity) and owns the per-device governor state the simulator
     drives (current config, decision clock, thermal, compiled-config
     caches).  The queue holds request *indices*; arrival bookkeeping is an
     append-only sorted list plus pop counters, so :meth:`backlog_at` is a
@@ -328,39 +326,10 @@ class DeviceLane:
         self.config_usage: dict[str, int] = {}
         self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
 
-    # -------------------------------------------------------- router surface
+    # ------------------------------------------------------------- the queue
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    @property
-    def reference_energy_j(self) -> float:
-        return self.reference.expected_energy_j
-
-    def estimated_wait_s(self, now_s: float) -> float:
-        """Residual busy time plus queued work at reference capacity."""
-        residual = max(self.t_free - now_s, 0.0)
-        return residual + self.queue_depth / self.reference_capacity_rps
-
-    # ------------------------------------------------------------- the queue
-    def push(self, index: int, arrival_s: float, critical: bool) -> None:
-        self._queue.append(index)
-        self._queue_arrivals.append(arrival_s)
-        self._admitted_times.append(arrival_s)
-        self._routed_times.append(arrival_s)
-        self.request_indices.append(index)
-        if critical:
-            self._crit_times.append(arrival_s)
-            self.critical_requests += 1
-
-    def reject(self, arrival_s: float) -> None:
-        """Record an admission drop at this lane's door.
-
-        The offered arrival still counts toward the governor's rate window —
-        demand the lane sheds is still demand it saw.
-        """
-        self._routed_times.append(arrival_s)
-        self.num_dropped += 1
 
     def backlog_at(self, now_s: float) -> int:
         """Routed requests that have arrived but not dispatched by ``now_s``.
@@ -400,57 +369,6 @@ class DeviceLane:
         else:
             hi = bisect_right(routed, now_s)
         return (hi - lo) / max(now_s - window_start, 1e-9)
-
-    def pending_start_s(self) -> float | None:
-        """Dispatch instant of the next batch, were it formed now.
-
-        Re-derives the :class:`~repro.serving.batcher.MicroBatcher`
-        trigger (full-batch fill or head-of-line timeout, whichever comes
-        first, floored by the device-free time) for a queue that only
-        knows arrivals routed so far.  ``None`` when the queue is empty.
-        """
-        if not self._queue:
-            return None
-        policy = self.stack.batch_policy
-        expiry = self._queue_arrivals[0] + policy.timeout_s
-        if (
-            len(self._queue) >= policy.max_batch
-            and self._queue_arrivals[policy.max_batch - 1] <= expiry
-        ):
-            trigger = self._queue_arrivals[policy.max_batch - 1]
-        else:
-            trigger = expiry
-        return max(self.t_free, trigger)
-
-    def next_ready_batch(self, until_s: float) -> tuple[float, list[int]] | None:
-        """Form the next batch, but only once the fleet clock reaches it.
-
-        A batch is returned only when it dispatches before the next fleet
-        arrival (``until_s``), so no future arrival could still join it
-        (opportunistic fill up to the dispatch instant, as in the
-        single-device batcher) and — just as important — the governor
-        observations made at dispatch see every arrival up to the dispatch
-        instant, exactly like the single-device simulator's.
-        """
-        start = self.pending_start_s()
-        if start is None or start >= until_s:
-            return None  # empty, or the fleet clock has not reached it yet
-        policy = self.stack.batch_policy
-        size = 0
-        for arrival in self._queue_arrivals:
-            if size >= policy.max_batch or arrival > start:
-                break
-            size += 1
-        batch = [self._queue.popleft() for _ in range(size)]
-        crit_times = self._crit_times
-        crit_popped = self._crit_popped
-        for _ in range(size):
-            arrival = self._queue_arrivals.popleft()
-            if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
-                crit_popped += 1
-        self._popped += size
-        self._crit_popped = crit_popped
-        return start, batch
 
     # ---------------------------------------------------------- config state
     def profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
@@ -512,7 +430,13 @@ def build_fleet_trace_and_stream(
 
 
 class FleetSimulator:
-    """Replays one trace through a router onto N heterogeneous lanes."""
+    """Replays one trace through a router onto N heterogeneous lanes.
+
+    Each lane serves its queue FIFO whatever the SLO class, unlike
+    :class:`~repro.serving.simulator.ServingSimulator`, which dispatches
+    latency-critical requests first: a one-lane fleet matches the single
+    device on single-class traffic only.
+    """
 
     def __init__(
         self,
@@ -639,11 +563,7 @@ class FleetSimulator:
             lane.governor_decisions += 1
             lane.next_decision = self.window_s
 
-        if self.spec.engine == "reference":
-            return self._run_reference(
-                trace, router, cstream, completion, correct, battery_budget
-            )
-        # The indexed engine allocates acyclically (flat books, batch lists
+        # The event loop allocates acyclically (flat books, batch lists
         # freed as they are priced), so cycle collection has nothing to find
         # — but generational collections still traverse the ever-growing
         # books, costing seconds per million requests.  Pause the collector
@@ -652,14 +572,14 @@ class FleetSimulator:
         if was_enabled:
             gc.disable()
         try:
-            return self._run_indexed(
+            return self._serve(
                 trace, router, cstream, completion, correct, battery_budget
             )
         finally:
             if was_enabled:
                 gc.enable()
 
-    def _run_reference(
+    def _serve(
         self,
         trace: Trace,
         router: FleetRouter,
@@ -668,140 +588,24 @@ class FleetSimulator:
         correct: np.ndarray,
         battery_budget: float | None,
     ) -> FleetReport:
-        """The original per-request loop — the executable specification.
+        """Per-arrival fleet event loop over flat lane state.
 
-        Every routing, admission, batching and governor decision here is
-        the contract the indexed engine must reproduce bit-for-bit.  Arrival
-        columns convert to Python floats lazily, one chunk at a time,
-        instead of materialising three full million-entry lists upfront.
-        """
-        n = trace.num_requests
-        battery_spent = 0.0
-        battery_exhausted = False
-
-        def dispatch(lane: DeviceLane, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted
-            if lane.thermal is not None and start > lane.clock:
-                lane.thermal.advance(0.0, start - lane.clock)  # idle: device cools
-            # Spike check counts the in-flight batch: next_ready_batch
-            # already popped it, but it is still unserved work.
-            spike = lane.backlog_at(start) + len(batch) > self.emergency_backlog
-            if start >= lane.next_decision or spike:
-                obs = self._observe(lane, start, trace, battery_budget, battery_spent)
-                lane.config = lane.policy.select(obs)
-                lane.governor_decisions += 1
-                tracing.count("fleet.governor_decisions")
-                lane.next_decision = start + self.window_s
-            active = lane.config
-            if lane.thermal is not None and lane.thermal.throttled:
-                active = lane.coolest  # hardware throttle overrides the policy
-                lane.throttled += 1
-            lane.config_usage[active.name] = lane.config_usage.get(active.name, 0) + 1
-            tracing.count("fleet.batches")
-            tracing.count(f"fleet.lane.{lane.stack.spec.platform}.batches")
-            tracing.observe("fleet.batch_size", len(batch))
-
-            indices = np.asarray(batch, dtype=np.int64)
-            compiled = lane.compiled_of(active, cstream, self.switch_cost_j)
-            decisions = compiled.decisions[indices]
-            latency, energy, switch = compiled.price(decisions)
-            lane.switching_energy_j += switch
-
-            end = start + latency
-            completion[indices] = end
-            correct[indices] = compiled.correct[indices]
-            lane.exit_counts += np.bincount(decisions, minlength=len(lane.exit_counts))
-
-            lane.energy_j += energy
-            lane.busy_s += latency
-            battery_spent += energy
-            if battery_budget is not None and battery_spent > battery_budget:
-                battery_exhausted = True
-            if lane.thermal is not None and latency > 0:
-                lane.thermal.advance(energy / latency, latency)
-            lane.clock = end
-            lane.t_free = end
-            lane.num_batches += 1
-
-        def drain(until: float) -> None:
-            # Dispatch ready batches across lanes in ascending start time
-            # (ties break on lane index): governors observing shared fleet
-            # state (the battery meter) always see it as of a simulated
-            # instant no later than their own decision time.
-            while True:
-                best: DeviceLane | None = None
-                best_start = float("inf")
-                for lane in self.lanes:
-                    start = lane.pending_start_s()
-                    if start is not None and start < until and start < best_start:
-                        best, best_start = lane, start
-                if best is None:
-                    break
-                formed = best.next_ready_batch(until)
-                dispatch(best, *formed)
-
-        admission = self.admission
-        lanes = self.lanes
-        # Arrival columns convert lazily per chunk: same Python floats as a
-        # full .tolist(), without ~24 MB of boxed floats resident at 10⁶.
-        chunk = 65536
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            times = trace.arrival_s[lo:hi].tolist()
-            difficulties = trace.difficulty[lo:hi].tolist()
-            classes = trace.slo_class[lo:hi].tolist()
-            for k in range(hi - lo):
-                i = lo + k
-                arrival = times[k]
-                slo_class = classes[k]
-                lane = lanes[router.route(difficulties[k], slo_class, arrival, lanes)]
-                critical = slo_class == LATENCY_CRITICAL
-                if (
-                    admission is not None
-                    and lane.queue_depth >= admission.max_queue
-                    and not (critical and admission.critical_bypass)
-                ):
-                    lane.reject(arrival)
-                else:
-                    lane.push(i, arrival, critical)
-                if k + 1 < hi - lo:
-                    drain(times[k + 1])
-                elif hi < n:
-                    drain(float(trace.arrival_s[hi]))
-                else:
-                    drain(float("inf"))
-        drain(float("inf"))
-
-        return self._report(trace, completion, correct, battery_budget,
-                            battery_spent, battery_exhausted)
-
-    def _run_indexed(
-        self,
-        trace: Trace,
-        router: FleetRouter,
-        cstream: CompiledStream,
-        completion: np.ndarray,
-        correct: np.ndarray,
-        battery_budget: float | None,
-    ) -> FleetReport:
-        """Per-arrival fleet event loop: bit-identical reports, flat lane state.
-
-        Each arrival routes through one
-        :meth:`~repro.serving.router.FleetRouter.route_block` call on a
-        one-element slice against a :class:`BlockLaneState` that mirrors the
-        live lane depths and device-free times (admission is the same
-        queue-depth check the reference makes per arrival).  The fleet then
-        drains every batch that dispatches before the next arrival through a
-        **lazy min-heap** of (pending start, lane) entries instead of
-        scanning every lane per request: a lane's entry is re-pushed only
-        when its pending start changes, and entries that no longer match
-        the lane's pending start are skipped on pop.  The heap's tuple order
-        — ascending start, ties on lane index — is the reference scan's
-        dispatch order.
+        Each arrival makes one
+        :meth:`~repro.serving.router.FleetRouter.route_block` call and one
+        :meth:`~repro.serving.router.BlockLaneState.admit` check against a
+        :class:`BlockLaneState` holding the live lane depths and
+        device-free times.  The fleet then drains every batch that
+        dispatches before the next arrival through a **lazy min-heap** of
+        (pending start, lane) entries instead of scanning every lane per
+        request: a lane's entry is re-pushed only when its pending start
+        changes, and entries that no longer match the lane's pending start
+        are skipped on pop.  The heap's tuple order — ascending start, ties
+        on lane index — is the order a per-request scan over the lanes
+        would dispatch in.
 
         Dispatch pricing goes through
         :meth:`~repro.serving.simulator._CompiledConfig.price_indices` (the
-        same Python-float tables as the single-device span engine), and
+        same Python-float tables as the single-device simulator), and
         completion/correctness scatters happen once at the end.
         """
         n = trace.num_requests
@@ -813,11 +617,10 @@ class FleetSimulator:
             max_queue=admission.max_queue if admission is not None else None,
             critical_bypass=admission.critical_bypass if admission is not None else True,
         )
-        bounded = admission is not None
         t_free = state.t_free
         depth = state.depth
         route_block = router.route_block
-        begin_block = state.begin_block
+        admit = state.admit
 
         times_np = trace.arrival_s
         difficulty_np = trace.difficulty
@@ -946,7 +749,7 @@ class FleetSimulator:
                 if compiled is None:
                     compiled = lane.compiled_of(active, cstream, switch_cost)
                 if compiled._dec_req is None:
-                    compiled.ensure_span_tables()
+                    compiled.ensure_tables()
                 last_compiled[li] = compiled
             latency, energy, switch = compiled.price_indices(batch, exit_lists[li])
             switch_acc[li] += switch
@@ -995,30 +798,26 @@ class FleetSimulator:
             hi = min(lo + chunk, n)
             a_chunk = times_np[lo:hi].tolist()
             d_chunk = difficulty_np[lo:hi].tolist()
-            c_chunk = slo_class_np[lo:hi].tolist() if any_crit else None
+            c_chunk = slo_class_np[lo:hi].tolist()
             last = hi - lo - 1
             for k in range(hi - lo):
                 arrival = a_chunk[k]
-                if bounded:
-                    begin_block()
-                assignments, admitted = route_block(
-                    d_chunk[k : k + 1],
-                    c_chunk[k : k + 1] if any_crit else None,
-                    a_chunk[k : k + 1],
-                    state,
-                )
+                slo_class = c_chunk[k]
+                li = route_block(d_chunk[k], slo_class, arrival, state)
                 if recorder is not None:
+                    # One routing call per arrival: the perfbench catalog
+                    # reads these as blocks of size one.
                     recorder.count("fleet.blocks")
                     recorder.observe("fleet.block_size", 1)
-                li = assignments[0]
                 routed_append[li](arrival)
-                if admitted[0]:
+                critical = slo_class == LATENCY_CRITICAL
+                if admit(li, critical):
                     i = lo + k
                     q_append[li](i)
                     qa_append[li](arrival)
                     adm_append[li](arrival)
                     ridx_append[li](i)
-                    if any_crit and c_chunk[k] == LATENCY_CRITICAL:
+                    if critical:
                         lane = lanes[li]
                         lane._crit_times.append(arrival)
                         lane.critical_requests += 1
@@ -1058,8 +857,7 @@ class FleetSimulator:
                     if pend[li] != start:
                         continue
                     # Form the batch at its dispatch instant: arrival-ordered
-                    # prefix, opportunistic fill up to the start (same
-                    # two-trigger semantics as DeviceLane.next_ready_batch).
+                    # prefix, opportunistic fill up to the start.
                     qa = qarrs[li]
                     mb = max_batch[li]
                     bsize = 0

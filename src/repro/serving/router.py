@@ -1,9 +1,9 @@
 """Request routers for the heterogeneous serving fleet.
 
 A :class:`FleetRouter` picks, per arriving request, which device lane the
-request joins.  Routers see a read-only :class:`LaneState` per device —
-queue depth, device-free time, the lane's reference capacity and energy —
-and the request's scalar features: ``difficulty`` (standing in for a cheap
+request joins.  Routers see a :class:`BlockLaneState` — the live per-lane
+device-free times, queue depths and reference capacities — and the
+request's scalar features: ``difficulty`` (standing in for a cheap
 upstream difficulty predictor; HADAS's premise is exactly that easy inputs
 early-exit, so difficulty is observable-enough to estimate) and its SLO
 class (``latency_critical`` or ``best_effort``).
@@ -25,14 +25,9 @@ Three policies:
   traffic rides out moderate backlog in its band while criticals move to
   the least-loaded lane early enough to keep their deadline headroom.
 
-Every router also exposes a **block kernel**, :meth:`FleetRouter.route_block`:
-given a run of consecutive arrivals over which no lane's queue drains, it
-returns the same lane assignments the scalar :meth:`route` loop would make,
-one request at a time, against a :class:`BlockLaneState` snapshot of plain
-per-lane lists that tracks the run's own queue growth.  Admission
-(queue-depth cap + critical bypass) is folded into the same pass because
-later routing decisions depend on which earlier requests were actually
-admitted.  The indexed fleet engine calls it once per arrival.
+Each router has one routing method, :meth:`FleetRouter.route_block`, which
+the fleet loop calls once per arrival; the lane-door admission check is
+:meth:`BlockLaneState.admit`.
 
 Everything is deterministic: ties break on lane index.
 """
@@ -40,8 +35,7 @@ Everything is deterministic: ties break on lane index.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 from repro.serving.workload import LATENCY_CRITICAL
 
@@ -49,108 +43,68 @@ from repro.serving.workload import LATENCY_CRITICAL
 ROUTER_NAMES = ("round_robin", "least_backlog", "difficulty_aware")
 
 
-class LaneState(Protocol):
-    """What a router may observe about one device lane."""
-
-    index: int
-    t_free: float
-
-    @property
-    def queue_depth(self) -> int: ...
-
-    @property
-    def reference_capacity_rps(self) -> float: ...
-
-    @property
-    def reference_energy_j(self) -> float: ...
-
-    def estimated_wait_s(self, now_s: float) -> float: ...
-
-
 class BlockLaneState:
-    """Mutable per-lane snapshot the block kernels route against.
+    """Live per-lane state the routers read and the fleet loop keeps current.
 
-    One instance lives for a whole fleet run: ``t_free`` and ``depth`` are
-    the live per-lane device-free times and queue depths (the owning
-    simulator keeps them in sync with dispatches), ``capacity`` the per-lane
-    reference capacity in requests/second.  The wait estimate the kernels
-    compute off these lists — ``max(t_free - now, 0) + depth / capacity`` —
-    is float-for-float the scalar :meth:`LaneState.estimated_wait_s`.
-
-    Admission folds into routing because queue-depth admission over a
-    no-dispatch stretch is a *prefix* rule: within a block the queue only
-    grows, so a request is admitted iff it is latency-critical under
-    ``critical_bypass`` or its per-lane routed position is below the space
-    the lane had when the block started — exactly the per-arrival cap
-    decision the scalar loop makes (same closed form as
-    ``ArrayBatcher._gate``; see :func:`repro.serving.batcher.admit_prefix`).
-    :meth:`begin_block` arms the per-block position counters.
+    ``t_free`` and ``depth`` are the per-lane device-free times and queue
+    depths (the owning simulator updates them on every dispatch),
+    ``capacity`` the per-lane reference capacity in requests/second.  The
+    lanes it is built from expose ``t_free``, ``queue_depth`` and
+    ``reference_capacity_rps``.  A lane's wait estimate is
+    ``max(t_free - now, 0) + depth / capacity``: residual busy time plus
+    queued work at reference capacity.
     """
 
-    __slots__ = ("lanes", "t_free", "depth", "capacity", "max_queue",
-                 "critical_bypass", "space", "positions")
+    __slots__ = ("t_free", "depth", "capacity", "max_queue", "critical_bypass")
 
     def __init__(
         self,
-        lanes: Sequence[LaneState],
+        lanes: Sequence,
         max_queue: int | None = None,
         critical_bypass: bool = True,
     ):
-        self.lanes = lanes
         self.t_free = [lane.t_free for lane in lanes]
         self.depth = [lane.queue_depth for lane in lanes]
         self.capacity = [lane.reference_capacity_rps for lane in lanes]
         self.max_queue = max_queue
         self.critical_bypass = critical_bypass
-        self.space = [0] * len(self.depth)
-        self.positions = [0] * len(self.depth)
 
-    def begin_block(self) -> None:
-        """Arm per-block admission: free space per lane, positions at zero."""
-        if self.max_queue is not None:
-            mq = self.max_queue
-            depth = self.depth
-            space = self.space
-            positions = self.positions
-            for l in range(len(depth)):
-                space[l] = mq - depth[l]
-                positions[l] = 0
+    def admit(self, lane: int, critical: bool) -> bool:
+        """Queue-depth admission at ``lane``'s door; grows its depth if admitted.
 
-    def admit(self, lane_indices: list[int], slo_class) -> list[bool]:
-        """Apply the prefix admission rule to precomputed assignments.
-
-        Mutates ``depth`` for admitted requests (the within-block queue
-        growth later routing decisions must observe) and advances the
-        per-lane routed positions.  Unbounded fleets admit everything.
-        ``slo_class`` may be ``None`` when the block carries no
-        latency-critical requests (every class check would be false).
+        Unbounded fleets admit everything; with a cap, a latency-critical
+        request under ``critical_bypass`` is admitted even to a full lane.
         """
         depth = self.depth
-        if self.max_queue is None:
-            for l in lane_indices:
-                depth[l] += 1
-            return [True] * len(lane_indices)
-        space = self.space
-        positions = self.positions
-        out = []
-        append = out.append
-        if slo_class is None or not self.critical_bypass:
-            for l in lane_indices:
-                p = positions[l]
-                positions[l] = p + 1
-                ok = p < space[l]
-                if ok:
-                    depth[l] += 1
-                append(ok)
-            return out
-        for l, cls in zip(lane_indices, slo_class):
-            p = positions[l]
-            positions[l] = p + 1
-            ok = p < space[l] or cls == LATENCY_CRITICAL
-            if ok:
-                depth[l] += 1
-            append(ok)
-        return out
+        max_queue = self.max_queue
+        if (
+            max_queue is None
+            or depth[lane] < max_queue
+            or (critical and self.critical_bypass)
+        ):
+            depth[lane] += 1
+            return True
+        return False
+
+    def least_loaded(self, now_s: float) -> int:
+        """The lane with the least estimated wait at ``now_s``.
+
+        Strict ``<`` keeps the first minimum, so ties go to the lowest lane
+        index.
+        """
+        t_free = self.t_free
+        depth = self.depth
+        capacity = self.capacity
+        r = t_free[0] - now_s
+        best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
+        best = 0
+        for lane in range(1, len(depth)):
+            r = t_free[lane] - now_s
+            w = (r if r > 0.0 else 0.0) + depth[lane] / capacity[lane]
+            if w < best_w:
+                best_w = w
+                best = lane
+        return best
 
 
 class FleetRouter:
@@ -158,29 +112,14 @@ class FleetRouter:
 
     name = "router"
 
-    def route(
+    def route_block(
         self,
         difficulty: float,
         slo_class: int,
         now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        raise NotImplementedError
-
-    def route_block(
-        self,
-        difficulty: Sequence[float],
-        slo_class: Sequence[int],
-        arrival: Sequence[float],
         state: BlockLaneState,
-    ) -> tuple[list[int], list[bool]]:
-        """Route one arrival block: (lane index, admitted) per request.
-
-        Must be decision-for-decision identical to stepping :meth:`route`
-        plus the admission check over the block while updating lane depths
-        for every admitted push (the property tests assert exactly that).
-        Mutates ``state`` (depths, positions, any router cursor).
-        """
+    ) -> int:
+        """The lane index one request arriving at ``now_s`` joins."""
         raise NotImplementedError
 
 
@@ -192,23 +131,10 @@ class RoundRobinRouter(FleetRouter):
     def __init__(self):
         self._next = 0
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        index = self._next % len(lanes)
+    def route_block(self, difficulty, slo_class, now_s, state):
+        index = self._next % len(state.depth)
         self._next += 1
         return index
-
-    def route_block(self, difficulty, slo_class, arrival, state):
-        start = self._next
-        num = len(state.depth)
-        self._next = start + len(arrival)
-        assignments = [(start + k) % num for k in range(len(arrival))]
-        return assignments, state.admit(assignments, slo_class)
 
 
 class LeastBacklogRouter(FleetRouter):
@@ -216,60 +142,8 @@ class LeastBacklogRouter(FleetRouter):
 
     name = "least_backlog"
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        return min(lanes, key=lambda lane: (lane.estimated_wait_s(now_s), lane.index)).index
-
-    def route_block(self, difficulty, slo_class, arrival, state):
-        t_free = state.t_free
-        depth = state.depth
-        capacity = state.capacity
-        num = len(depth)
-        bounded = state.max_queue is not None
-        space = state.space
-        positions = state.positions
-        check_crit = state.critical_bypass and slo_class is not None
-        assignments: list[int] = []
-        admitted: list[bool] = []
-        asg_append = assignments.append
-        adm_append = admitted.append
-        for m, now in enumerate(arrival):
-            # argmin of (wait, lane index): strict < keeps the first minimum,
-            # which is the lowest-index lane on ties — same as min(key=...).
-            r = t_free[0] - now
-            best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
-            best = 0
-            for l in range(1, num):
-                r = t_free[l] - now
-                w = (r if r > 0.0 else 0.0) + depth[l] / capacity[l]
-                if w < best_w:
-                    best_w = w
-                    best = l
-            asg_append(best)
-            if bounded:
-                p = positions[best]
-                positions[best] = p + 1
-                ok = p < space[best] or (check_crit and slo_class[m] == LATENCY_CRITICAL)
-            else:
-                ok = True
-            if ok:
-                depth[best] += 1
-            adm_append(ok)
-        return assignments, admitted
-
-
-@dataclass
-class _Band:
-    """Difficulty band [lo, hi) owned by one lane."""
-
-    lane_index: int
-    lo: float
-    hi: float
+    def route_block(self, difficulty, slo_class, now_s, state):
+        return state.least_loaded(now_s)
 
 
 class DifficultyAwareRouter(FleetRouter):
@@ -281,138 +155,49 @@ class DifficultyAwareRouter(FleetRouter):
     wait exceeds ``spill_fraction``·SLO, the request spills to the lane
     with the least estimated wait instead; latency-critical requests use
     half that threshold, so they leave a backlogged band before best-effort
-    traffic does.
-
-    Bands are cached per fleet composition: building them sorts the lanes
-    by capacity (and reads the — potentially expensive — capacity figures),
-    so :meth:`route` only ever does a cache check plus a bisect per call.
-    The cache invalidates when the lane set changes (identity-checked, so a
-    router can be handed a different fleet and rebuild exactly once).
+    traffic does.  The bands are built once, for the lanes the router is
+    constructed with.
     """
 
     name = "difficulty_aware"
 
-    def __init__(self, lanes: Sequence[LaneState], slo_s: float, spill_fraction: float = 0.5):
+    def __init__(self, lanes: Sequence, slo_s: float, spill_fraction: float = 0.5):
         if not lanes:
             raise ValueError("difficulty-aware router needs at least one lane")
         self.slo_s = slo_s
         self.spill_fraction = spill_fraction
-        self._lane_seq: Sequence[LaneState] | None = None
-        self._lane_sig: tuple[int, ...] | None = None
-        self._bands: list[_Band] = []
-        self._edges: list[float] = []
-        self._band_lanes: list[int] = []
-        self._build_bands(lanes)
-
-    def _build_bands(self, lanes: Sequence[LaneState]) -> None:
         ordered = sorted(
             lanes, key=lambda lane: (lane.reference_capacity_rps, lane.index)
         )
         total = sum(lane.reference_capacity_rps for lane in ordered)
-        self._bands = []
+        # Each band is [its lower edge, the next band's lower edge).
+        self._edges: list[float] = []
         lo = 0.0
         for lane in ordered:
-            share = lane.reference_capacity_rps / total if total > 0 else 1.0 / len(ordered)
-            self._bands.append(_Band(lane.index, lo, lo + share))
-            lo += share
-        self._bands[-1].hi = 1.0 + 1e-9  # difficulty == 1.0 lands in the last band
-        self._edges = [band.lo for band in self._bands]
-        self._band_lanes = [band.lane_index for band in self._bands]
-        self._lane_seq = lanes
-        self._lane_sig = tuple(id(lane) for lane in lanes)
-
-    def _ensure_bands(self, lanes: Sequence[LaneState]) -> None:
-        """Revalidate the band cache against ``lanes`` (O(1) steady-state).
-
-        The common case — the same lane sequence object every call — is an
-        identity check.  A different sequence triggers a membership-identity
-        comparison and rebuilds only when the lane set actually changed.
-        """
-        if lanes is self._lane_seq:
-            return
-        sig = tuple(id(lane) for lane in lanes)
-        if sig != self._lane_sig:
-            self._build_bands(lanes)
-        else:
-            self._lane_seq = lanes
+            self._edges.append(lo)
+            lo += lane.reference_capacity_rps / total if total > 0 else 1.0 / len(ordered)
+        self._band_lanes = [lane.index for lane in ordered]
 
     def banded_lane(self, difficulty: float) -> int:
-        """The lane whose band contains ``difficulty`` (no spill logic)."""
-        # bisect over the band lower edges == the linear [lo, hi) scan,
-        # including the "past the last band" fallback.
-        slot = bisect_right(self._edges, difficulty) - 1
-        if slot < 0:
-            slot = len(self._band_lanes) - 1  # difficulty below 0: old fallback
-        return self._band_lanes[slot]
+        """The lane whose band contains ``difficulty`` (no spill logic).
 
-    def route(
-        self,
-        difficulty: float,
-        slo_class: int,
-        now_s: float,
-        lanes: Sequence[LaneState],
-    ) -> int:
-        self._ensure_bands(lanes)
-        chosen = self.banded_lane(difficulty)
+        Difficulties past the last edge land in the last band; a difficulty
+        below 0 gives slot -1, which is the last band too.
+        """
+        return self._band_lanes[bisect_right(self._edges, difficulty) - 1]
+
+    def route_block(self, difficulty, slo_class, now_s, state):
+        chosen = self._band_lanes[bisect_right(self._edges, difficulty) - 1]
         threshold = self.spill_fraction * self.slo_s
         if slo_class == LATENCY_CRITICAL:
             threshold *= 0.5  # criticals abandon a backlogged band early
-        if lanes[chosen].estimated_wait_s(now_s) > threshold:
-            spill = min(
-                lanes, key=lambda lane: (lane.estimated_wait_s(now_s), lane.index)
-            )
-            return spill.index
+        r = state.t_free[chosen] - now_s
+        if (r if r > 0.0 else 0.0) + state.depth[chosen] / state.capacity[chosen] > threshold:
+            return state.least_loaded(now_s)
         return chosen
 
-    def route_block(self, difficulty, slo_class, arrival, state):
-        self._ensure_bands(state.lanes)
-        t_free = state.t_free
-        depth = state.depth
-        capacity = state.capacity
-        num = len(depth)
-        threshold_be = self.spill_fraction * self.slo_s
-        has_critical = slo_class is not None and LATENCY_CRITICAL in slo_class
-        edges = self._edges
-        band_lanes = self._band_lanes
-        bounded = state.max_queue is not None
-        space = state.space
-        positions = state.positions
-        bypass = state.critical_bypass
-        assignments = []
-        admitted = []
-        asg_append = assignments.append
-        adm_append = admitted.append
-        for m, now in enumerate(arrival):
-            chosen = band_lanes[bisect_right(edges, difficulty[m]) - 1]
-            critical = has_critical and slo_class[m] == LATENCY_CRITICAL
-            threshold = threshold_be * 0.5 if critical else threshold_be
-            r = t_free[chosen] - now
-            w = (r if r > 0.0 else 0.0) + depth[chosen] / capacity[chosen]
-            if w > threshold:
-                r = t_free[0] - now
-                best_w = (r if r > 0.0 else 0.0) + depth[0] / capacity[0]
-                best = 0
-                for l in range(1, num):
-                    r = t_free[l] - now
-                    w = (r if r > 0.0 else 0.0) + depth[l] / capacity[l]
-                    if w < best_w:
-                        best_w = w
-                        best = l
-                chosen = best
-            asg_append(chosen)
-            if bounded:
-                p = positions[chosen]
-                positions[chosen] = p + 1
-                ok = p < space[chosen] or (bypass and critical)
-            else:
-                ok = True
-            if ok:
-                depth[chosen] += 1
-            adm_append(ok)
-        return assignments, admitted
 
-
-def make_router(name: str, lanes: Sequence[LaneState], slo_s: float) -> FleetRouter:
+def make_router(name: str, lanes: Sequence, slo_s: float) -> FleetRouter:
     """Build a router by name (the CLI/bench entry point)."""
     if name == "round_robin":
         return RoundRobinRouter()

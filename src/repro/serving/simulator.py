@@ -11,25 +11,23 @@ serialises, dispatch overhead is shared —
 energy across the intra-batch exit sequence.  Thermal and battery state
 evolve alongside and feed back into the governor's observation.
 
-Two engines produce the same physics:
+The event core is vectorized: an
+:class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
+arithmetic over the arrival array, and a per-config compiled executor
+(:class:`_CompiledConfig`) precomputes full-stream exit decisions,
+correctness and per-path cost tables once, so the per-batch work is a few
+table lookups.  Without admission control or SLO classes, reports are
+bit-identical to the original per-request loop over
+:class:`~repro.serving.workload.Request` objects, which is kept as a frozen
+reference in ``tests/oracles/serving.py``.
 
-* ``engine="reference"`` — the original per-request loop over
-  :class:`~repro.serving.workload.Request` objects and a
-  :class:`~repro.serving.batcher.MicroBatcher`; retained as the executable
-  specification.
-* ``engine="indexed"`` (default) — the vectorized event core: an
-  :class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
-  arithmetic over the arrival array, and a per-config compiled executor
-  (:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-  correctness and per-path cost tables once, so the per-batch work is a few
-  table gathers.  Reports are bit-identical to the reference engine — the
-  repo's standing invariant, in the family of serial-vs-parallel and
-  table-vs-reference before it.
-
-The indexed engine additionally supports admission control
+The simulator supports admission control
 (:class:`~repro.serving.batcher.AdmissionPolicy`) and latency-critical /
 best-effort SLO classes; dropped requests never complete (NaN completion)
-and latency statistics are computed over *served* requests only.
+and latency statistics are computed over *served* requests only.  Within
+each batch window latency-critical requests dispatch first.  Fleet lanes
+(:mod:`repro.serving.fleet`) are FIFO instead, so a one-lane fleet and this
+simulator differ whenever 0 < ``critical_fraction`` < 1.
 
 Everything is deterministic: the trace, the logits stream and every policy
 decision are pure functions of the seed and configuration.
@@ -43,10 +41,10 @@ import numpy as np
 
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.placement import ExitPlacement
-from repro.hardware.energy import PathProfile, batched_execution
+from repro.hardware.energy import PathProfile
 from repro.nn.functional import entropy_np
 from repro.obs import trace as tracing
-from repro.serving.batcher import AdmissionPolicy, ArrayBatcher, BatchPolicy, MicroBatcher
+from repro.serving.batcher import AdmissionPolicy, ArrayBatcher, BatchPolicy
 from repro.serving.governor import (
     GovernorObservation,
     RuntimeConfig,
@@ -59,47 +57,6 @@ from repro.serving.telemetry import ServingReport, class_latency_stats, percenti
 from repro.serving.workload import SLO_CLASSES, Trace
 from repro.utils.validation import check_positive
 
-ENGINE_NAMES = ("indexed", "reference")
-
-
-@dataclass(frozen=True)
-class BatchOutcome:
-    """Result of pricing one micro-batch through the deployed DyNN.
-
-    Shared by the single-device and fleet simulators so the execution
-    semantics — controller decisions, batched hardware pricing, switch
-    energy, per-request correctness — live in exactly one place.
-    """
-
-    decisions: object  # per-request exit index (num_exits = full network)
-    latency_s: float
-    energy_j: float  # includes switching energy
-    switching_j: float
-    correct: np.ndarray  # per-request correctness flags
-
-
-def execute_batch(controller, profiles, dvfs_governor, stream, indices) -> BatchOutcome:
-    """Run one micro-batch: real exit decisions + physical batch pricing."""
-    exit_logits, final_logits, labels = stream.batch(indices)
-    decisions = controller.decide(exit_logits)
-    latency, energy = batched_execution([profiles[d] for d in decisions])
-    switch = dvfs_governor.switching_energy(decisions)
-    num_exits = stream.num_exits
-    correct = np.empty(len(indices), dtype=bool)
-    for j, d in enumerate(decisions):
-        if d < num_exits:
-            correct[j] = exit_logits[d, j].argmax() == labels[j]
-        else:
-            correct[j] = final_logits[j].argmax() == labels[j]
-    return BatchOutcome(
-        decisions=decisions,
-        latency_s=latency,
-        energy_j=energy + switch,
-        switching_j=switch,
-        correct=correct,
-    )
-
-
 @dataclass(frozen=True)
 class CompiledStream:
     """Per-request quantities of a :class:`ServingStream`, precomputed once.
@@ -107,7 +64,7 @@ class CompiledStream:
     The entropy controller and the correctness check are row-independent
     (softmax/entropy/argmax act per request), so evaluating them over the
     full stream up front yields bit-identical values to evaluating them
-    batch by batch — which is what lets the indexed engine replace the
+    batch by batch — which is what lets the simulator replace the
     per-batch controller with table lookups.
     """
 
@@ -148,12 +105,14 @@ class _CompiledConfig:
 
     ``decisions`` replicates :meth:`EntropyThresholdController.decide` over
     the full stream (first exit whose entropy clears its threshold);
-    :meth:`price` replicates :func:`batched_execution` +
+    :meth:`price_span` and :meth:`price_indices` replicate
+    :func:`~repro.hardware.energy.batched_execution` +
     :meth:`DvfsGovernor.switching_energy` for a batch of those decisions.
-    Sums run as Python float sums over lists (NOT ``np.sum``, whose pairwise
-    reduction associates differently) and the shared-overhead path is the
+    Sums add left to right over Python floats (NOT ``np.sum``, whose
+    pairwise reduction associates differently, nor Python ≥ 3.12's
+    compensated builtin ``sum``) and the shared-overhead path is the
     *first* maximum, exactly like ``max(..., key=...)`` — this is what keeps
-    the compiled executor bit-identical to the reference one.
+    the compiled executor bit-identical to the per-batch reference.
     """
 
     __slots__ = (
@@ -166,11 +125,6 @@ class _CompiledConfig:
         "_sid",
         "_switch_cost_j",
         "_dec_req",
-        "_busy_l",
-        "_over_l",
-        "_passive_l",
-        "_unit_l",
-        "_sid_l",
         "_lat_one",
         "_energy_one",
     )
@@ -191,12 +145,20 @@ class _CompiledConfig:
             undecided &= ~takes
         self.decisions = decisions
         self.correct = cstream.head_correct[decisions, np.arange(n)]
-        self._busy = np.asarray([p.busy_s for p in profiles])
-        self._over = np.asarray([p.overhead_s for p in profiles])
-        self._passive = np.asarray([p.passive_power_w for p in profiles])
-        self._unit = np.asarray(
-            [p.dynamic_energy_j + p.passive_power_w * p.busy_s for p in profiles]
-        )
+        # Per-exit Python float tables.  ``_lat_one`` and ``_energy_one``
+        # pre-fold the single-request batch: ``busy + over`` and
+        # ``unit + passive * over`` associate identically to the batch
+        # formulas at size one.
+        self._busy = [p.busy_s for p in profiles]
+        self._over = [p.overhead_s for p in profiles]
+        self._passive = [p.passive_power_w for p in profiles]
+        self._unit = [
+            p.dynamic_energy_j + p.passive_power_w * p.busy_s for p in profiles
+        ]
+        self._lat_one = [b + o for b, o in zip(self._busy, self._over)]
+        self._energy_one = [
+            u + p * o for u, p, o in zip(self._unit, self._passive, self._over)
+        ]
         # DVFS settings collapsed to equality-class ids so intra-batch
         # transitions are an integer comparison instead of dataclass !=.
         governor = config.dvfs_governor(switch_cost_j)
@@ -211,46 +173,32 @@ class _CompiledConfig:
             else:
                 sid.append(len(seen))
                 seen.append(setting)
-        self._sid = np.asarray(sid, dtype=np.int64)
+        self._sid = sid
         self._switch_cost_j = switch_cost_j
-        self._dec_req = None  # per-request decision list, built on first span price
+        self._dec_req = None  # per-request decision list, built on first price
 
-    def ensure_span_tables(self) -> None:
-        """Materialize span-pricing lookups, once per (config, stream).
+    def ensure_tables(self) -> None:
+        """Materialize the per-request decision list, once per (config, stream).
 
-        Span-mode batches are contiguous ``[lo, hi)`` ranges averaging a
-        handful of requests, so pricing works off one Python list of
-        per-request exit decisions (small ints, so ``tolist`` is cheap —
-        unlike converting five per-request float gathers) plus per-exit
-        Python float tables.  The per-request values this indexes are
-        exactly the ones the gather in :meth:`price` would produce, in the
-        same order, so the float sums are bit-identical.  ``_lat_one`` and
-        ``_energy_one`` pre-fold the single-request batch: ``busy + over``
-        and ``unit + passive * over`` associate identically to the batch
-        formulas at size one.  Queue-mode runs never build any of this.
+        Batches average a handful of requests, so pricing works off one
+        Python list of per-request exit decisions (small ints, so ``tolist``
+        is cheap — unlike converting per-request float gathers) indexing
+        the per-exit float tables.  Built on first use, so configs the
+        governor never picks cost nothing.
         """
         if self._dec_req is None:
             self._dec_req = self.decisions.tolist()
-            self._busy_l = self._busy.tolist()
-            self._over_l = self._over.tolist()
-            self._passive_l = self._passive.tolist()
-            self._unit_l = self._unit.tolist()
-            self._sid_l = self._sid.tolist()
-            self._lat_one = [b + o for b, o in zip(self._busy_l, self._over_l)]
-            self._energy_one = [
-                u + p * o
-                for u, p, o in zip(self._unit_l, self._passive_l, self._over_l)
-            ]
 
     def price_span(self, lo: int, hi: int) -> tuple[float, float, float]:
-        """:meth:`price` for the contiguous batch ``[lo, hi)`` (span mode)."""
+        """(latency_s, energy_j incl. switching, switching_j) for the
+        contiguous batch ``[lo, hi)`` (span mode)."""
         dec = self._dec_req
         if hi - lo == 1:
             d = dec[lo]
             return self._lat_one[d], self._energy_one[d], 0.0
-        busy = self._busy_l
-        over = self._over_l
-        unit = self._unit_l
+        busy = self._busy
+        over = self._over
+        unit = self._unit
         busy_sum = 0.0
         energy = 0.0
         peak = -1.0
@@ -264,10 +212,10 @@ class _CompiledConfig:
                 peak = o
                 longest = j
         latency = busy_sum + peak
-        energy += self._passive_l[dec[longest]] * peak
+        energy += self._passive[dec[longest]] * peak
         switch = 0.0
         if self._switch_cost_j:
-            sids = self._sid_l
+            sids = self._sid
             prev = sids[dec[lo]]
             transitions = 0
             for j in range(lo + 1, hi):
@@ -279,55 +227,43 @@ class _CompiledConfig:
         return latency, energy + switch, switch
 
     def price_indices(
-        self, indices: list[int], counts: list[int] | None = None
+        self, indices: list[int], counts: list[int]
     ) -> tuple[float, float, float]:
-        """:meth:`price` for an explicit request-index batch (fleet lanes).
+        """:meth:`price_span` for an explicit request-index batch.
 
-        Fleet lanes dispatch non-contiguous index batches, so this is
+        Fleet lanes and queue-mode batches are not contiguous, so this is
         :meth:`price_span` generalised to an index list, off the same
         Python-float tables: sequential left-to-right sums and a strict
-        first-maximum, which makes it bit-identical to calling
-        :meth:`price` on the gathered decisions.  ``counts``, when given,
-        tallies per-exit decisions in the same pass (the fleet's per-lane
-        exit usage meters).  Call :meth:`ensure_span_tables` first.
+        first-maximum.  It also tallies the batch's per-exit decisions into
+        ``counts`` (the exit usage meters).  Call :meth:`ensure_tables`
+        first.
         """
         dec = self._dec_req
         if len(indices) == 1:
             d = dec[indices[0]]
-            if counts is not None:
-                counts[d] += 1
+            counts[d] += 1
             return self._lat_one[d], self._energy_one[d], 0.0
-        busy = self._busy_l
-        over = self._over_l
-        unit = self._unit_l
+        busy = self._busy
+        over = self._over
+        unit = self._unit
         busy_sum = 0.0
         energy = 0.0
         peak = -1.0
         longest = indices[0]
-        if counts is None:
-            for t in indices:
-                d = dec[t]
-                busy_sum += busy[d]
-                energy += unit[d]
-                o = over[d]
-                if o > peak:  # strict: keeps the first maximum, like argmax
-                    peak = o
-                    longest = t
-        else:
-            for t in indices:
-                d = dec[t]
-                counts[d] += 1
-                busy_sum += busy[d]
-                energy += unit[d]
-                o = over[d]
-                if o > peak:
-                    peak = o
-                    longest = t
+        for t in indices:
+            d = dec[t]
+            counts[d] += 1
+            busy_sum += busy[d]
+            energy += unit[d]
+            o = over[d]
+            if o > peak:  # strict: keeps the first maximum, like argmax
+                peak = o
+                longest = t
         latency = busy_sum + peak
-        energy += self._passive_l[dec[longest]] * peak
+        energy += self._passive[dec[longest]] * peak
         switch = 0.0
         if self._switch_cost_j:
-            sids = self._sid_l
+            sids = self._sid
             prev = sids[dec[indices[0]]]
             transitions = 0
             for t in indices[1:]:
@@ -338,26 +274,10 @@ class _CompiledConfig:
             switch = transitions * self._switch_cost_j
         return latency, energy + switch, switch
 
-    def price(self, decisions: np.ndarray) -> tuple[float, float, float]:
-        """(latency_s, energy_j incl. switching, switching_j) for one batch."""
-        busy_sum = sum(self._busy[decisions].tolist())
-        over = self._over[decisions]
-        longest = int(np.argmax(over))  # first occurrence, like max(key=...)
-        latency = busy_sum + float(over[longest])
-        energy = sum(self._unit[decisions].tolist()) + float(
-            self._passive[decisions[longest]] * over[longest]
-        )
-        switch = 0.0
-        if self._switch_cost_j and len(decisions) >= 2:
-            sids = self._sid[decisions]
-            transitions = int(np.count_nonzero(sids[1:] != sids[:-1]))
-            switch = transitions * self._switch_cost_j
-        return latency, energy + switch, switch
-
 
 @dataclass
 class _RunState:
-    """Accumulated telemetry of one serving loop, engine-agnostic."""
+    """Accumulated telemetry of one serving loop."""
 
     completion: np.ndarray  # NaN = never served (dropped at admission)
     correct: np.ndarray
@@ -377,6 +297,11 @@ class _RunState:
 
 class ServingSimulator:
     """Replays one trace through one policy on one simulated device.
+
+    Latency-critical requests dispatch first within each batch window, so
+    on mixed-class traffic (0 < ``critical_fraction`` < 1) this simulator
+    and a one-lane :class:`~repro.serving.fleet.FleetSimulator`, whose lane
+    queues are FIFO, serve different schedules.
 
     Parameters
     ----------
@@ -402,10 +327,7 @@ class ServingSimulator:
         Absolute energy allowance (None = unconstrained); the harness
         derives it from the scenario's ``battery_scale``.
     admission:
-        Optional queue-depth admission policy (indexed engine only).
-    engine:
-        ``"indexed"`` (vectorized, default) or ``"reference"`` (the original
-        object loop, kept as the executable specification).
+        Optional queue-depth admission policy.
     """
 
     def __init__(
@@ -422,17 +344,9 @@ class ServingSimulator:
         battery_budget_j: float | None = None,
         emergency_backlog_batches: float = 2.0,
         admission: AdmissionPolicy | None = None,
-        engine: str = "indexed",
     ):
         check_positive("slo_s", slo_s)
         check_positive("window_s", window_s)
-        if engine not in ENGINE_NAMES:
-            raise ValueError(f"unknown engine {engine!r}; valid: {ENGINE_NAMES}")
-        if engine == "reference" and admission is not None:
-            raise ValueError(
-                "the reference engine predates admission control; "
-                "use engine='indexed' with an AdmissionPolicy"
-            )
         self.evaluator = evaluator
         self.placement = placement
         self.policy = policy
@@ -444,12 +358,10 @@ class ServingSimulator:
         self.switch_cost_j = switch_cost_j
         self.battery_budget_j = battery_budget_j
         self.admission = admission
-        self.engine = engine
         self.emergency_backlog = emergency_backlog_batches * self.batch_policy.max_batch
         self._max_power_w = max(c.expected_power_w for c in self.ladder)
         self._coolest = min(self.ladder, key=lambda c: c.expected_power_w)
         self._profiles: dict[str, list[PathProfile]] = {}
-        self._controllers: dict[str, object] = {}
 
     # ------------------------------------------------------------- internals
     def _profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
@@ -458,11 +370,6 @@ class ServingSimulator:
                 self.evaluator, self.placement, config.dvfs_governor()
             )
         return self._profiles[config.name]
-
-    def _controller_of(self, config: RuntimeConfig):
-        if config.name not in self._controllers:
-            self._controllers[config.name] = config.controller()
-        return self._controllers[config.name]
 
     def _observe(
         self,
@@ -552,92 +459,10 @@ class ServingSimulator:
             if self.scenario.thermal is not None
             else None
         )
-        if self.engine == "reference":
-            if trace.num_critical:
-                raise ValueError(
-                    "the reference engine is class-agnostic; serve SLO-tagged "
-                    "traces with engine='indexed'"
-                )
-            state = self._serve_reference(trace, stream, thermal)
-        else:
-            state = self._serve_indexed(trace, stream, thermal)
+        state = self._serve(trace, stream, thermal)
         return self._build_report(trace, thermal, state, platform, model, seed)
 
-    def _serve_reference(
-        self, trace: Trace, stream: ServingStream, thermal: ThermalState | None
-    ) -> _RunState:
-        """The original object loop: MicroBatcher + per-batch controller."""
-        n = trace.num_requests
-        arrivals = trace.arrival_s
-        batcher = MicroBatcher(trace, self.batch_policy)
-        state = _RunState(
-            completion=np.full(n, np.nan),
-            correct=np.zeros(n, dtype=bool),
-            exit_counts=np.zeros(self.placement.num_exits + 1, dtype=np.int64),
-        )
-        clock = 0.0  # last simulated instant (for thermal integration)
-        t_free = 0.0
-        config = self._initial_config(trace)
-        state.governor_decisions += 1
-        tracing.count("serving.governor_decisions")
-        next_decision = self.window_s
-
-        while (formed := batcher.next_batch(t_free)) is not None:
-            start, batch = formed
-            if thermal is not None and start > clock:
-                thermal.advance(0.0, start - clock)  # idle: device cools
-            # Spike check counts the in-flight batch: next_batch already
-            # popped it off the queue, but it is still unserved work.
-            spike = batcher.backlog_at(start) + len(batch) > self.emergency_backlog
-            if start >= next_decision or spike:
-                obs = self._observe(
-                    start, trace, arrivals, batcher, thermal, state.battery_spent
-                )
-                config = self.policy.select(obs)
-                state.governor_decisions += 1
-                tracing.count("serving.governor_decisions")
-                next_decision = start + self.window_s
-
-            active = config
-            if thermal is not None and thermal.throttled:
-                active = self._coolest  # hardware throttle overrides the policy
-                state.throttled += 1
-                tracing.count("serving.throttled_batches")
-            state.config_usage[active.name] = state.config_usage.get(active.name, 0) + 1
-            tracing.count("serving.batches")
-            tracing.observe("serving.batch_size", len(batch))
-
-            indices = np.asarray([r.index for r in batch], dtype=np.int64)
-            outcome = execute_batch(
-                self._controller_of(active),
-                self._profiles_of(active),
-                active.dvfs_governor(self.switch_cost_j),
-                stream,
-                indices,
-            )
-            state.switching_energy += outcome.switching_j
-
-            end = start + outcome.latency_s
-            state.completion[indices] = end
-            state.correct[indices] = outcome.correct
-            for d in outcome.decisions:
-                state.exit_counts[d] += 1
-
-            state.total_energy += outcome.energy_j
-            state.battery_spent += outcome.energy_j
-            if (
-                self.battery_budget_j is not None
-                and state.battery_spent > self.battery_budget_j
-            ):
-                state.battery_exhausted = True
-            if thermal is not None and outcome.latency_s > 0:
-                thermal.advance(outcome.energy_j / outcome.latency_s, outcome.latency_s)
-            clock = end
-            t_free = end
-            state.num_batches += 1
-        return state
-
-    def _serve_indexed(
+    def _serve(
         self, trace: Trace, stream: ServingStream, thermal: ThermalState | None
     ) -> _RunState:
         """The vectorized event core: ArrayBatcher + compiled executor."""
@@ -693,6 +518,8 @@ class ServingSimulator:
         # batch (a static nominal run flushes exactly once).
         run_cc: _CompiledConfig | None = None
         run_lo = run_hi = 0
+        # Queue-mode exit tallies, counted by the pricer and folded in once.
+        queue_counts = [0] * len(exit_counts)
 
         def flush_run() -> None:
             if run_cc is not None and run_hi > run_lo:
@@ -717,7 +544,8 @@ class ServingSimulator:
                 size = len(indices)
             if thermal is not None and start > clock:
                 thermal.advance(0.0, start - clock)  # idle: device cools
-            # Spike check counts the in-flight batch (see reference loop).
+            # Spike check counts the in-flight batch: the batcher already
+            # popped it, but it is still unserved work.
             spike = backlog_at(start) + size > emergency_backlog
             if start >= next_decision or spike:
                 state.battery_spent = battery_spent
@@ -743,9 +571,9 @@ class ServingSimulator:
                 recorder.observe("serving.batch_size", size)
 
             cc = compiled_of(active)
+            if cc._dec_req is None:
+                cc.ensure_tables()
             if use_span:
-                if cc._dec_req is None:
-                    cc.ensure_span_tables()
                 latency, energy, switch = cc.price_span(lo, hi)
                 if cc is run_cc and lo == run_hi:
                     run_hi = hi
@@ -754,11 +582,11 @@ class ServingSimulator:
                     run_cc, run_lo, run_hi = cc, lo, hi
                 completion[lo:hi] = start + latency
             else:
-                decisions = cc.decisions[indices]
-                latency, energy, switch = cc.price(decisions)
+                latency, energy, switch = cc.price_indices(
+                    indices.tolist(), queue_counts
+                )
                 completion[indices] = start + latency
                 correct[indices] = cc.correct[indices]
-                exit_counts += np.bincount(decisions, minlength=len(exit_counts))
             switching_energy += switch
 
             end = start + latency
@@ -773,6 +601,7 @@ class ServingSimulator:
             num_batches += 1
 
         flush_run()
+        np.add(exit_counts, queue_counts, out=exit_counts)
         state.num_batches = num_batches
         state.total_energy = total_energy
         state.battery_spent = battery_spent

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.serving import ReferenceDeviceLane, run_fleet_cell_reference
 from repro.engine.cache import ResultCache
 from repro.search.hadas import HadasConfig, HadasSearch
 from repro.serving.deploy import (
@@ -20,7 +21,6 @@ from repro.serving.deploy import (
     save_design,
 )
 from repro.serving.fleet import (
-    DeviceLane,
     FleetSpec,
     build_fleet_stacks,
     build_fleet_trace_and_stream,
@@ -30,6 +30,7 @@ from repro.serving.fleet import (
 )
 from repro.serving.harness import ServingSpec, build_serving_stack, run_serving_cell
 from repro.serving.router import (
+    BlockLaneState,
     DifficultyAwareRouter,
     LeastBacklogRouter,
     RoundRobinRouter,
@@ -58,15 +59,20 @@ def searched_design(tiny_search_result):
 
 # -------------------------------------------------------------------- routers
 class _FakeLane:
+    """An idle-queue lane whose whole estimated wait at t=0 is ``wait``
+    seconds of residual busy time."""
+
     def __init__(self, index, capacity, energy, wait):
         self.index = index
         self.reference_capacity_rps = capacity
         self.reference_energy_j = energy
-        self._wait = wait
+        self.t_free = wait
         self.queue_depth = 0
 
-    def estimated_wait_s(self, now_s):
-        return self._wait
+
+def _route(router, difficulty, slo_class, lanes):
+    """One routing decision at t=0 against the lanes' live state."""
+    return router.route_block(difficulty, slo_class, 0.0, BlockLaneState(lanes))
 
 
 class TestRouters:
@@ -74,7 +80,7 @@ class TestRouters:
         router = RoundRobinRouter()
         lanes = [_FakeLane(i, 10.0, 0.1, 0.0) for i in range(3)]
         assert [
-            router.route(0.5, BEST_EFFORT, 0.0, lanes) for _ in range(6)
+            _route(router, 0.5, BEST_EFFORT, lanes) for _ in range(6)
         ] == [0, 1, 2, 0, 1, 2]
 
     def test_least_backlog_picks_least_wait(self):
@@ -84,12 +90,12 @@ class TestRouters:
             _FakeLane(1, 10.0, 0.1, 0.1),
             _FakeLane(2, 10.0, 0.1, 0.9),
         ]
-        assert router.route(0.5, BEST_EFFORT, 0.0, lanes) == 1
+        assert _route(router, 0.5, BEST_EFFORT, lanes) == 1
 
     def test_least_backlog_ties_break_on_index(self):
         router = LeastBacklogRouter()
         lanes = [_FakeLane(i, 10.0, 0.1, 0.3) for i in range(3)]
-        assert router.route(0.5, BEST_EFFORT, 0.0, lanes) == 0
+        assert _route(router, 0.5, BEST_EFFORT, lanes) == 0
 
     def test_difficulty_bands_follow_capacity_order(self):
         # Lane 1 is the weak device: it owns the easy band despite its index.
@@ -104,7 +110,7 @@ class TestRouters:
         idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
         router = DifficultyAwareRouter([busy_weak, idle_strong], slo_s=0.075)
         assert router.banded_lane(0.01) == 0
-        assert router.route(0.01, BEST_EFFORT, 0.0, [busy_weak, idle_strong]) == 1
+        assert _route(router, 0.01, BEST_EFFORT, [busy_weak, idle_strong]) == 1
 
     def test_critical_spills_at_half_threshold(self):
         # Wait of 0.03 s sits between the critical threshold (0.5·0.5·SLO ≈
@@ -114,8 +120,8 @@ class TestRouters:
         idle_strong = _FakeLane(1, 30.0, 0.3, 0.0)
         lanes = [moderately_busy, idle_strong]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
-        assert router.route(0.01, BEST_EFFORT, 0.0, lanes) == 0
-        assert router.route(0.01, LATENCY_CRITICAL, 0.0, lanes) == 1
+        assert _route(router, 0.01, BEST_EFFORT, lanes) == 0
+        assert _route(router, 0.01, LATENCY_CRITICAL, lanes) == 1
 
     def test_make_router_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown router"):
@@ -151,6 +157,9 @@ class TestFleetSpec:
 
 # -------------------------------------------------------------- lane batching
 class TestDeviceLane:
+    """Lane batching through the reference queue methods, read back through
+    the production backlog meters."""
+
     @pytest.fixture(scope="class")
     def stack(self):
         return build_serving_stack(ServingSpec(duration_s=4.0, max_batch=4))
@@ -158,7 +167,7 @@ class TestDeviceLane:
     def _lane(self, stack, times):
         from repro.serving.governor import StaticPolicy
 
-        lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
+        lane = ReferenceDeviceLane(0, stack, StaticPolicy(stack.static_config))
         for i, t in enumerate(times):
             lane.push(i, float(t), critical=False)
         return lane
@@ -200,7 +209,7 @@ class TestDeviceLane:
     def test_critical_backlog_tracks_class(self, stack):
         from repro.serving.governor import StaticPolicy
 
-        lane = DeviceLane(0, stack, StaticPolicy(stack.static_config))
+        lane = ReferenceDeviceLane(0, stack, StaticPolicy(stack.static_config))
         lane.push(0, 0.0, critical=True)
         lane.push(1, 0.1, critical=False)
         lane.push(2, 0.2, critical=True)
@@ -538,8 +547,9 @@ class TestFleetRegressions:
 
 # ---------------------------------------------------------- engine identity
 class TestEngineIdentity:
-    """The indexed engine reproduces the reference loop
-    field-for-field across routers, admission settings, and SLO mixes."""
+    """The production loop reproduces the frozen reference loop in
+    ``tests/oracles/serving.py`` field-for-field across routers, admission
+    settings, and SLO mixes."""
 
     @pytest.mark.parametrize(
         "router,max_queue,bypass,crit",
@@ -563,8 +573,8 @@ class TestEngineIdentity:
             admission_max_queue=max_queue,
             admission_critical_bypass=bypass,
         )
-        ref = run_fleet_cell(FleetSpec(engine="reference", **base))
-        idx = run_fleet_cell(FleetSpec(engine="indexed", **base))
+        ref = run_fleet_cell_reference(FleetSpec(**base))
+        idx = run_fleet_cell(FleetSpec(**base))
         assert idx == ref
 
     @settings(max_examples=4, deadline=None)
@@ -587,13 +597,9 @@ class TestEngineIdentity:
             critical_fraction=crit,
             admission_max_queue=max_queue,
         )
-        ref = run_fleet_cell(FleetSpec(engine="reference", **base))
-        idx = run_fleet_cell(FleetSpec(engine="indexed", **base))
+        ref = run_fleet_cell_reference(FleetSpec(**base))
+        idx = run_fleet_cell(FleetSpec(**base))
         assert idx == ref
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            FleetSpec(platforms=("tx2-gpu",), engine="warp")
 
 
 # ------------------------------------------------------------ conservation
@@ -649,9 +655,9 @@ class TestFleetConservation:
 # ------------------------------------------------------------ band caching
 class TestBandCache:
     def test_route_does_not_rebuild_bands_per_call(self):
-        """Band edges are cached per fleet composition: steady-state route()
-        calls never re-read lane capacities (the sort key), so there is no
-        per-call sorting."""
+        """Band edges are built once, with the router: steady-state
+        route_block() calls never re-read lane capacities (the sort key), so
+        there is no per-call sorting."""
 
         class _CountingLane:
             def __init__(self, index, capacity):
@@ -666,20 +672,69 @@ class TestBandCache:
                 self.capacity_reads += 1
                 return self._capacity
 
-            def estimated_wait_s(self, now_s):
-                return 0.0
-
         lanes = [_CountingLane(0, 10.0), _CountingLane(1, 30.0)]
         router = DifficultyAwareRouter(lanes, slo_s=0.075)
+        state = BlockLaneState(lanes)
         baseline = [lane.capacity_reads for lane in lanes]
         for k in range(64):
-            router.route(k / 64.0, BEST_EFFORT, 0.0, lanes)
+            router.route_block(k / 64.0, BEST_EFFORT, 0.0, state)
         assert [lane.capacity_reads for lane in lanes] == baseline
 
-    def test_band_cache_rebuilds_on_new_fleet(self):
-        lanes = [_FakeLane(0, 10.0, 0.1, 0.0), _FakeLane(1, 30.0, 0.3, 0.0)]
-        router = DifficultyAwareRouter(lanes, slo_s=0.075)
-        assert router.banded_lane(0.9) == 1
-        other = [_FakeLane(0, 30.0, 0.3, 0.0), _FakeLane(1, 10.0, 0.1, 0.0)]
-        assert router.route(0.9, BEST_EFFORT, 0.0, other) == 0
 
+# ------------------------------------------------------------ one-lane law
+class TestOneLaneLaw:
+    """A one-platform fleet serves the same load as the single-device
+    simulator.
+
+    Single-class cells only (``critical_fraction`` 0 or 1): the single
+    device dispatches latency-critical requests first within each batch
+    window, while a fleet lane is FIFO, so the two engines differ whenever
+    0 < ``critical_fraction`` < 1 (10 of 10 mixed-class cells diverged when
+    last measured).  Drop mode only: fleet admission is drop-only.  Energy
+    and latency agree to rel 1e-9 rather than bit for bit because the two
+    engines add batch energies in different orders.
+    """
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        pattern=st.sampled_from(("poisson", "bursty")),
+        policy=st.sampled_from(("static", "adaptive")),
+        crit=st.sampled_from((0.0, 1.0)),
+        max_queue=st.sampled_from((None, 3, 8)),
+    )
+    def test_one_lane_fleet_matches_single_device(
+        self, seed, pattern, policy, crit, max_queue
+    ):
+        load = dict(
+            pattern=pattern,
+            policy=policy,
+            seed=seed,
+            duration_s=2.0,
+            utilization=0.95,
+            critical_fraction=crit,
+            admission_max_queue=max_queue,
+        )
+        fleet = run_fleet_cell(
+            FleetSpec(platforms=("tx2-gpu",), router="round_robin", **load)
+        )
+        single = run_serving_cell(
+            ServingSpec(platform="tx2-gpu", admission_mode="drop", **load)
+        )
+        assert fleet.num_requests == single.num_requests
+        assert fleet.num_served == single.num_served
+        assert fleet.num_dropped == single.num_dropped
+        for name, stats in single.class_stats.items():
+            for count in ("num_requests", "num_served", "num_dropped"):
+                assert fleet.class_stats[name][count] == stats[count]
+        assert fleet.exit_usage == single.exit_usage
+        for metric in (
+            "latency_ms_p50",
+            "latency_ms_p95",
+            "latency_ms_p99",
+            "total_energy_j",
+            "deadline_miss_rate",
+        ):
+            assert getattr(fleet, metric) == pytest.approx(
+                getattr(single, metric), rel=1e-9
+            ), metric

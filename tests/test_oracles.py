@@ -9,13 +9,16 @@ fails here even when production and oracle drift together.
 
 The evaluator digests are per platform, not per mode: every reference mode
 is bit-identical to the production kernels, so all three modes must hash to
-the same value.
+the same value.  The serving digests cover whole reports of the reference
+single-device and fleet loops.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from oracles.search import (
     profiles_for_reference,
     reference,
 )
+from oracles.serving import ReferenceServingSimulator, run_fleet_cell_reference
 from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.cost import estimate_cost
 from repro.arch.space import BackboneSpace, miniature_space
@@ -40,6 +44,9 @@ from repro.hardware.platform import get_platform
 from repro.runtime.governor import DvfsGovernor
 from repro.search.ioe import InnerEngine
 from repro.search.nsga2 import Nsga2Config
+from repro.serving import AdaptiveGovernor, ServingSpec, StaticPolicy, make_trace
+from repro.serving.fleet import FleetSpec
+from repro.serving.harness import build_serving_stack
 
 MODES = {
     "tables-off": dict(tables=False),
@@ -56,10 +63,27 @@ SORT_DIGEST = "a6a3309d3780ce2fc9f71ae402f268d1"
 MASK_DIGEST = "926ac597561775642aa10874e0bd0476"
 ENGINE_DIGEST = "40ffe09ee4e2d195d4929478c7cd47fb"
 LOWERING_DIGEST = "9272e1c56f571eb0a1f8f07147695d60"
+SERVING_DIGESTS = {
+    ("poisson", "static"): "e3107011e025c9a0a5ae97513f36b768",
+    ("poisson", "adaptive"): "10e970509bbe204fa7e74877f75f6404",
+    ("bursty", "static"): "e816e9ed42decf64b5bb176f722066ca",
+    ("bursty", "adaptive"): "15b027271ddb718c45a9e4f3f5061e29",
+}
+#: (router, admission cap, critical bypass, critical fraction) -> digest.
+FLEET_DIGESTS = {
+    ("round_robin", None, True, 0.0): "6f03a1c51477cacd6fb9d084aac1976a",
+    ("round_robin", 2, False, 1.0): "1b89c53b5b753811700d1f1911f224f2",
+    ("least_backlog", 6, True, 0.3): "28deb1a4d1365a2b3001c5ebf6e9a3b4",
+    ("least_backlog", None, True, 1.0): "6f4df3e21cff3a3f845d6cd1f4eddc45",
+    ("difficulty_aware", None, True, 0.0): "ad8d87210365befb0be8d2ec867d7999",
+    ("difficulty_aware", 6, True, 0.3): "7a01f0bea80301fb896e449f8035abcd",
+    ("difficulty_aware", 2, False, 1.0): "1fb04b94d633f4f20efbb82cfd278e3a",
+}
 
 #: Names that must never reappear in ``src/repro``: the search-kernel
-#: flags, the reference bodies they selected and the per-part cost
-#: lowering, which live only here.
+#: flags, the reference bodies they selected, the per-part cost lowering,
+#: and the serving reference engines with their ``engine=`` option, which
+#: live only here.
 RETIRED_NAMES = frozenset({
     "use_tables",
     "use_population_kernel",
@@ -76,6 +100,27 @@ RETIRED_NAMES = frozenset({
     "_merge",
     "estimate_cost_reference",
     "exit_branch_cost_reference",
+    "ENGINE_NAMES",
+    "route",  # routers keep one routing method, route_block
+    "price",  # compiled configs keep price_span and price_indices
+    "_controller_of",
+    "MicroBatcher",
+    "BatchOutcome",
+    "execute_batch",
+    "batched_execution_reference",
+    "price_reference",
+    "_serve_reference",
+    "_run_reference",
+    "LaneState",
+    "next_ready_batch",
+    "pending_start_s",
+    "begin_block",
+    "_ensure_bands",
+    "scalar_router",
+    "ReferenceServingSimulator",
+    "ReferenceFleetSimulator",
+    "ReferenceDeviceLane",
+    "run_fleet_cell_reference",
 })
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -292,6 +337,68 @@ class TestLoweringOracle:
     def test_golden_digest(self):
         got = _lowering_digest(estimate_cost_reference, exit_branch_cost_reference)
         assert got == LOWERING_DIGEST
+
+
+def _plain(value):
+    """JSON fallback for the NumPy scalars a report may carry."""
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    raise TypeError(f"cannot digest {type(value).__name__}")
+
+
+def _report_digest(report) -> str:
+    """blake2b of a report's fields as JSON (floats in shortest round-trip
+    form, so the digest is exact)."""
+    text = json.dumps(dataclasses.asdict(report), default=_plain)
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def serving_stack():
+    return build_serving_stack(ServingSpec(duration_s=6.0))
+
+
+class TestServingEngineOracle:
+    @pytest.mark.parametrize("pattern,policy_name", sorted(SERVING_DIGESTS))
+    def test_single_device_golden_digest(self, serving_stack, pattern, policy_name):
+        stack = serving_stack
+        trace = make_trace(pattern, stack.rate_hz, 5.0, seed=3)
+        stream = stack.synthesizer.synthesize(trace.difficulties())
+        policy = (
+            StaticPolicy(stack.static_config)
+            if policy_name == "static"
+            else AdaptiveGovernor(stack.ladder, stack.batch_policy)
+        )
+        report = ReferenceServingSimulator(
+            evaluator=stack.evaluator,
+            placement=stack.placement,
+            policy=policy,
+            ladder=stack.ladder,
+            scenario=stack.scenario,
+            slo_s=stack.spec.slo_ms / 1e3,
+            batch_policy=stack.batch_policy,
+        ).run(trace, stream)
+        assert _report_digest(report) == SERVING_DIGESTS[pattern, policy_name]
+
+    @pytest.mark.parametrize(
+        "router,max_queue,bypass,crit", list(FLEET_DIGESTS), ids=str
+    )
+    def test_fleet_golden_digest(self, router, max_queue, bypass, crit):
+        report = run_fleet_cell_reference(
+            FleetSpec(
+                platforms=("tx2-gpu", "agx-gpu"),
+                pattern="bursty",
+                router=router,
+                duration_s=3.0,
+                critical_fraction=crit,
+                admission_max_queue=max_queue,
+                admission_critical_bypass=bypass,
+            )
+        )
+        key = (router, max_queue, bypass, crit)
+        assert _report_digest(report) == FLEET_DIGESTS[key]
 
 
 def _identifiers(tree: ast.AST):

@@ -301,7 +301,8 @@ class TestBurstyTraceLaws:
 
 
 class TestBatcherLaws:
-    """The two batcher implementations agree and satisfy dispatch laws."""
+    """The array batcher agrees with the frozen deque batcher of
+    ``tests/oracles/serving.py`` and satisfies dispatch laws."""
 
     @staticmethod
     def _drain_array(trace, policy, service_s):
@@ -317,7 +318,7 @@ class TestBatcherLaws:
 
     @staticmethod
     def _drain_micro(trace, policy, service_s):
-        from repro.serving.batcher import MicroBatcher
+        from oracles.serving import MicroBatcher
 
         batcher = MicroBatcher(trace, policy)
         t_free, out = 0.0, []
@@ -367,15 +368,17 @@ class TestBatcherLaws:
 
 
 class TestRouterBlockLaws:
-    """The vectorized route_block kernels reproduce the scalar route() loop.
+    """The production route_block routers reproduce the frozen scalar
+    route() loop of ``tests/oracles/serving.py``.
 
     The scalar side steps request-by-request exactly like the reference
     fleet engine: route, then the live queue-depth admission check, then
-    the depth increment later routing decisions observe.  The block side
-    routes the whole arrival block through one route_block call against a
-    BlockLaneState.  Assignments, admissions, and final depths must agree
-    float-for-float — including single-lane fleets, equal-backlog ties,
-    and all-critical blocks.
+    the depth increment later routing decisions observe.  The production
+    side steps the same arrivals the way the fleet loop does: one
+    route_block call and one BlockLaneState.admit per arrival.
+    Assignments, admissions, and final depths must agree float-for-float —
+    including single-lane fleets, equal-backlog ties, and all-critical
+    blocks.
     """
 
     class _Lane:
@@ -414,6 +417,7 @@ class TestRouterBlockLaws:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_route_block_matches_scalar_loop(self, data):
+        from oracles.serving import scalar_router
         from repro.serving.router import BlockLaneState, ROUTER_NAMES, make_router
         from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
 
@@ -456,24 +460,20 @@ class TestRouterBlockLaws:
 
         scalar_lanes = build()
         block_lanes = build()
-        scalar_router = make_router(name, scalar_lanes, slo_s=0.075)
+        reference_router = scalar_router(make_router(name, scalar_lanes, slo_s=0.075))
         block_router = make_router(name, block_lanes, slo_s=0.075)
 
         expected = self._scalar(
-            scalar_router, scalar_lanes, difficulty, slo_class, arrival,
+            reference_router, scalar_lanes, difficulty, slo_class, arrival,
             max_queue, bypass,
         )
         state = BlockLaneState(
             block_lanes, max_queue=max_queue, critical_bypass=bypass
         )
-        state.begin_block()
-        # The fleet loop hands the kernels None when the block carries no
-        # latency-critical request; exercise that contract too.
-        slo_arg = slo_class
-        if not any(crit) and data.draw(st.booleans()):
-            slo_arg = None
-        assignments, admitted = block_router.route_block(
-            difficulty, slo_arg, arrival, state
-        )
+        assignments, admitted = [], []
+        for m, now in enumerate(arrival):
+            chosen = block_router.route_block(difficulty[m], slo_class[m], now, state)
+            assignments.append(chosen)
+            admitted.append(state.admit(chosen, slo_class[m] == LATENCY_CRITICAL))
         assert (list(assignments), list(admitted)) == expected
         assert state.depth == [lane.queue_depth for lane in scalar_lanes]

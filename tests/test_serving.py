@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.search import path_profile
+from oracles.serving import MicroBatcher, ReferenceServingSimulator
 from repro.engine.cache import ResultCache
 from repro.hardware.energy import PathProfile, batched_execution
 from repro.serving import (
     AdaptiveGovernor,
     BatchPolicy,
     GovernorObservation,
-    MicroBatcher,
     ServingSpec,
     StaticPolicy,
     bursty_trace,
@@ -40,6 +40,9 @@ from repro.serving.scenarios import ThermalParams, ThermalState
 from repro.serving.simulator import ServingSimulator
 from repro.serving.telemetry import ServingReport
 from repro.serving.workload import Request, Trace
+
+#: The production simulator and the frozen reference loop, by engine label.
+SIMULATORS = {"reference": ReferenceServingSimulator, "indexed": ServingSimulator}
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +169,16 @@ class TestBatchedExecution:
 
     def test_empty_batch(self):
         assert batched_execution([]) == (0.0, 0.0)
+
+    def test_sums_left_to_right(self):
+        """Regression: builtin ``sum`` compensates float rounding on Python
+        >= 3.12 (0.1 + 0.2 + 0.3 gives 0.6 there, 0.6000000000000001 left to
+        right), so batch prices depended on the interpreter."""
+        profiles = [PathProfile(b, 0.0, b, 0.0) for b in (0.1, 0.2, 0.3)]
+        latency, energy = batched_execution(profiles)
+        expected = (0.1 + 0.2) + 0.3
+        assert latency.hex() == expected.hex()
+        assert energy.hex() == expected.hex()
 
     def test_profile_consistent_with_composite_report(self, stack):
         from repro.hardware.dvfs import DvfsSpace
@@ -522,7 +535,8 @@ class TestCli:
 
 # ------------------------------------------------- engines & latent-bug pins
 class TestEngineEquivalence:
-    """The indexed event core must be bit-identical to the reference loop."""
+    """The indexed event core must be bit-identical to the frozen reference
+    loop in ``tests/oracles/serving.py``."""
 
     @pytest.mark.parametrize("policy_name", ["static", "adaptive"])
     @pytest.mark.parametrize("pattern", ["poisson", "bursty"])
@@ -536,7 +550,7 @@ class TestEngineEquivalence:
                 if policy_name == "static"
                 else AdaptiveGovernor(stack.ladder, stack.batch_policy)
             )
-            simulator = ServingSimulator(
+            simulator = SIMULATORS[engine](
                 evaluator=stack.evaluator,
                 placement=stack.placement,
                 policy=policy,
@@ -544,7 +558,6 @@ class TestEngineEquivalence:
                 scenario=stack.scenario,
                 slo_s=stack.spec.slo_ms / 1e3,
                 batch_policy=stack.batch_policy,
-                engine=engine,
             )
             reports[engine] = simulator.run(trace, stream)
         assert reports["reference"] == reports["indexed"]
@@ -562,14 +575,13 @@ class TestEngineEquivalence:
             final_logits=stream.final_logits,
             labels=stream.labels,
         )
-        simulator = ServingSimulator(
+        simulator = SIMULATORS[engine](
             evaluator=stack.evaluator,
             placement=stack.placement,
             policy=StaticPolicy(stack.static_config),
             ladder=stack.ladder,
             scenario=stack.scenario,
             slo_s=0.075,
-            engine=engine,
         )
         with pytest.raises(ValueError, match="exit heads"):
             simulator.run(trace, wrong)
@@ -581,7 +593,7 @@ class TestEngineEquivalence:
         emergency threshold never triggered a governor re-decision."""
         trace = replay_trace(np.zeros(5))
         stream = stack.synthesizer.synthesize(trace.difficulties())
-        simulator = ServingSimulator(
+        simulator = SIMULATORS[engine](
             evaluator=stack.evaluator,
             placement=stack.placement,
             policy=StaticPolicy(stack.static_config),
@@ -591,7 +603,6 @@ class TestEngineEquivalence:
             batch_policy=BatchPolicy(max_batch=4, timeout_s=0.004),
             window_s=100.0,
             emergency_backlog_batches=1.0,
-            engine=engine,
         )
         report = simulator.run(trace, stream)
         # The first batch of 4 leaves a backlog of 1: 1 queued + 4 in
