@@ -30,8 +30,7 @@ from repro.accuracy.exit_model import BackboneExitOracle
 from repro.arch.config import BackboneConfig
 from repro.arch.cost import LayerCost, NetworkCost, exit_branch_cost
 from repro.exits.evaluation import ExitEvaluation, PopulationExitStats
-from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
-from repro.hardware.cost_table import CostTableBank
+from repro.exits.placement import ExitPlacement
 from repro.hardware.dvfs import DvfsSetting
 from repro.hardware.energy import EnergyModel
 from repro.hardware.population_kernel import PopulationKernel, PopulationPathCosts
@@ -88,12 +87,11 @@ class DynamicEvaluator:
     literal_ratios:
         Use eq. 6's ratios verbatim instead of savings (see module note).
 
-    Every path is priced from the precomputed
-    :class:`~repro.hardware.cost_table.CostTableBank`; whole generations go
-    through the stacked
-    :class:`~repro.hardware.population_kernel.PopulationKernel`, which
+    Every path is priced from one stacked cost store, the evaluator's
+    :class:`~repro.hardware.population_kernel.PopulationKernel`: per-pair
+    calls read one row of it, whole generations one stacked gather that
     also computes and memoises their IOE objective vectors.  The
-    pre-optimisation loops these kernels reproduce bit for bit live in
+    pre-optimisation loops these gathers reproduce bit for bit live in
     ``tests/oracles/search.py``.
     """
 
@@ -118,24 +116,16 @@ class DynamicEvaluator:
             for spec in self.config.layers()
             if spec.kind == "mbconv"
         }
-        # One bank per evaluator = one bank per inner run: every placement
-        # evaluated at a seen DVFS setting reuses the same cost table.  The
-        # branch provider hands each new table every legal exit branch, so a
-        # fresh setting costs exactly one batched kernel pass.
-        self.bank = CostTableBank(
-            self.energy_model, self.cost, branch_provider=self._branch_items
-        )
+        # One store per evaluator = one store per inner run: every placement
+        # evaluated at a seen DVFS setting reads the same row, and a fresh
+        # setting's row (backbone plus every legal exit branch) costs one
+        # batched timing pass.
         self.population = PopulationKernel(
-            self.bank, self.branch_cost, self.config.total_mbconv_layers
+            self.energy_model,
+            self.cost,
+            self.branch_cost,
+            self.config.total_mbconv_layers,
         )
-
-    def _branch_items(self) -> list[tuple[int, LayerCost]]:
-        """(position, branch cost) for every legal exit position."""
-        return [
-            (p, self.branch_cost(p))
-            for p in sorted(self._channels)
-            if p >= MIN_EXIT_POSITION
-        ]
 
     def branch_cost(self, position: int) -> LayerCost:
         """Cost profile of the exit branch attached at ``position``."""
@@ -146,21 +136,6 @@ class DynamicEvaluator:
             )
         return self._branch_cache[position]
 
-    def _path_costs(self, positions: tuple[int, ...], setting: DvfsSetting):
-        """Vectorized per-exit and full-path costs from the table bank.
-
-        O(exits) array work: cumulative-sum gathers at the prefix indices
-        plus one cached scalar bundle per traversed branch — no per-layer
-        iteration at all once the setting's table exists.  A table is built
-        with every legal exit branch's scalars in its single batched pass,
-        so later placements at the setting never re-enter the timing kernel.
-        """
-        table = self.bank.table(setting)
-        branches = [self.branch_cost(p) for p in positions]
-        exit_energy, exit_latency = table.exit_path_costs(positions, branches)
-        full_energy, full_latency = table.full_path_cost(positions, branches)
-        return exit_energy, exit_latency, full_energy, full_latency
-
     def evaluate(self, placement: ExitPlacement, setting: DvfsSetting) -> DynamicEvaluation:
         """Full dynamic evaluation of (x, f | b) (cached)."""
         key = (placement.key, setting.core_ghz, setting.emc_ghz)
@@ -170,9 +145,8 @@ class DynamicEvaluator:
         trace.count("dyneval.evaluations")
 
         stats = self.oracle.evaluate_placement(placement)
-        exit_energy, exit_latency, full_energy, full_latency = self._path_costs(
-            placement.positions, setting
-        )
+        costs = self.population.row_costs(placement.positions, setting)
+        exit_energy, exit_latency, full_energy, full_latency = costs
 
         usage = stats.usage
         dynamic_energy = float(usage[:-1] @ exit_energy + usage[-1] * full_energy)
@@ -393,18 +367,16 @@ class DynamicEvaluator:
         return list(zip(d_acc, d_energy, d_latency))
 
     def path_costs(self, positions: tuple[int, ...], setting: DvfsSetting):
-        """Public ``(exit_energy, exit_latency, full_energy, full_latency)``
-        from the cost-table gathers (the runtime planners' fast path)."""
-        return self._path_costs(tuple(positions), setting)
+        """``(exit_energy, exit_latency, full_energy, full_latency)`` of one
+        placement at one setting: a one-row gather over the cost store."""
+        return self.population.row_costs(positions, setting)
 
     def full_path_cost(
         self, positions: tuple[int, ...], setting: DvfsSetting
     ) -> tuple[float, float]:
         """``(energy_j, latency_s)`` of the full network plus all branches."""
-        positions = tuple(positions)
-        table = self.bank.table(setting)
-        branches = [self.branch_cost(p) for p in positions]
-        return table.full_path_cost(positions, branches)
+        _, _, energy, latency = self.population.row_costs(positions, setting)
+        return energy, latency
 
     def objectives(self, evaluation: DynamicEvaluation) -> tuple[float, float, float]:
         """IOE maximisation vector for one evaluation (paper eqs. 5-6).

@@ -21,7 +21,6 @@ with first-principles analytical models:
 DVFS frequency grids follow paper Table II exactly (count and range).
 """
 
-from repro.hardware.cost_table import CostTableBank, SettingCostTable
 from repro.hardware.dvfs import DvfsSetting, DvfsSpace
 from repro.hardware.energy import EnergyModel, EnergyReport
 from repro.hardware.latency import BatchTiming, LatencyModel, LayerTiming
@@ -55,8 +54,6 @@ __all__ = [
     "BatchTiming",
     "EnergyModel",
     "EnergyReport",
-    "CostTableBank",
-    "SettingCostTable",
     "HardwareInTheLoop",
     "Measurement",
 ]

@@ -126,7 +126,7 @@ class EnergyModel:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-layer ``(core, mem_dynamic, mem_background, static)`` energy
         vectors for one batch timing — the operands both the vectorized
-        accumulators and the cost tables sum.
+        accumulators and the cost store sum.
 
         Each element is the exact term the reference loop adds for that
         layer (``(P · busy) · activity`` and ``P · total`` in the same

@@ -75,7 +75,7 @@ class BatchTiming:
     Arrays are indexed like the input layer list.  Every element is
     bit-identical to the matching :class:`LayerTiming` field/property — the
     same float64 expressions evaluated elementwise — which is what lets the
-    cost-table kernel replace the per-layer Python loop without changing a
+    cost store replace the per-layer Python loop without changing a
     single result bit.
     """
 
@@ -93,7 +93,7 @@ class LatencyModel:
 
     ``layer_timing_calls``/``batch_timing_calls`` count kernel invocations;
     the dynamic-eval bench uses them to prove the hot path does no per-layer
-    Python iteration once the cost tables are warm.
+    Python iteration once the cost store holds the setting.
     """
 
     def __init__(self, platform: HardwarePlatform):
@@ -148,8 +148,10 @@ class LatencyModel:
     ) -> BatchTiming:
         """:meth:`batch_timing` from pre-extracted MAC/traffic vectors.
 
-        The cost-table bank extracts its layer vectors once and reuses them
-        for every DVFS setting, skipping the per-table attribute walk.
+        The cost store (:class:`~repro.hardware.population_kernel.
+        PopulationKernel`) extracts the vectors of the backbone layers plus
+        every legal exit branch once, then builds each fresh setting's row
+        from exactly one call here — no per-setting attribute walk.
         """
         self.batch_timing_calls += 1
         n = len(macs)

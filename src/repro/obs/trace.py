@@ -6,7 +6,7 @@ Design constraints, in order:
    :func:`span` / :func:`count` / :func:`observe` unconditionally, including
    the dynamic-evaluation hot path, so the disabled path must be a couple of
    attribute reads and a ``None`` check (measured well under 2% of a single
-   cost-table :meth:`DynamicEvaluator.evaluate` miss — asserted in
+   cost-store :meth:`DynamicEvaluator.evaluate` miss — asserted in
    ``tests/test_obs.py``).
 2. **No effect on results.**  The runtime never touches an RNG, never
    reorders work, and never raises into instrumented code; recording a trace

@@ -5,8 +5,10 @@ HADAS searches a single operating point per DyNN; related work (EdgeBERT
 plans such a per-exit table on top of a searched design: for every exit path
 it sweeps the platform grid for the energy-optimal setting subject to a
 latency budget, producing the table a :class:`~repro.runtime.governor.
-DvfsGovernor` consumes.  ``examples/dvfs_sweep.py`` and the ablation bench
-quantify the additional savings over the single-setting design.
+DvfsGovernor` consumes.  The whole grid is priced in one population gather
+over the evaluator's cost store, one row per setting.
+``examples/dvfs_sweep.py`` and the ablation bench quantify the additional
+savings over the single-setting design.
 """
 
 from __future__ import annotations
@@ -62,9 +64,10 @@ def plan_per_exit_dvfs(
     fractions the design-time objective uses, so ``extra_gain`` is directly
     comparable with the searched single-setting result.
 
-    Costs come from :meth:`DynamicEvaluator.path_costs` — the cost-table
-    bank (one O(exits) gather per setting instead of an O(layers × exits)
-    walk per (path, setting) pair).
+    Every candidate setting (and the default) is priced in one population
+    gather over the evaluator's cost store
+    (:meth:`~repro.hardware.population_kernel.PopulationKernel.path_costs`),
+    one row per setting.
     """
     if latency_slack < 1.0:
         raise ValueError(f"latency_slack must be >= 1, got {latency_slack}")
@@ -73,18 +76,14 @@ def plan_per_exit_dvfs(
     usage = evaluator.oracle.evaluate_placement(placement).usage
     candidates = dvfs_space.all_settings()
 
-    def all_path_costs(setting: DvfsSetting) -> tuple[np.ndarray, np.ndarray]:
-        """(energy, latency) arrays over every path (exits then full)."""
-        exit_energy, exit_latency, full_energy, full_latency = evaluator.path_costs(
-            positions, setting
-        )
-        return (
-            np.append(exit_energy, full_energy),
-            np.append(exit_latency, full_latency),
-        )
-
-    default_energy, default_latency = all_path_costs(default)
-    candidate_costs = [(setting, *all_path_costs(setting)) for setting in candidates]
+    # (energy, latency) per setting over every path: exits, then full.
+    costs = evaluator.population.path_costs(
+        [positions] * (len(candidates) + 1), [default, *candidates]
+    )
+    energies = np.column_stack((costs.exit_energy_j, costs.full_energy_j))
+    latencies = np.column_stack((costs.exit_latency_s, costs.full_latency_s))
+    default_energy, default_latency = energies[0], latencies[0]
+    candidate_costs = list(zip(candidates, energies[1:], latencies[1:]))
 
     settings: dict[int, DvfsSetting] = {}
     per_exit_energy = np.zeros(len(positions) + 1)

@@ -94,7 +94,7 @@ from repro.serving.workload import (
     Trace,
     make_trace,
 )
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_nonneg, check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
 FLEET_CELL_VERSION = "4"
@@ -151,6 +151,11 @@ class FleetSpec:
         check_positive("slo_ms", self.slo_ms)
         check_positive("duration_s", self.duration_s)
         check_positive("utilization", self.utilization)
+        # The simulators' own rules, enforced here so a bad spec fails at
+        # construction (and the CLI through ``parser.error``).
+        check_positive("max_batch", self.max_batch)
+        check_nonneg("batch_timeout_ms", self.batch_timeout_ms)
+        check_positive("window_ms", self.window_ms)
         if self.rate_hz is not None:
             check_positive("rate_hz", self.rate_hz)
         if not 0.0 <= self.critical_fraction <= 1.0:

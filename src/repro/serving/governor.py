@@ -183,22 +183,22 @@ def _profiles_for(
 ) -> list[PathProfile]:
     """Per-path execution profiles under a (possibly per-exit) DVFS map.
 
-    The profiles come straight from the evaluator's
-    :class:`~repro.hardware.cost_table.CostTableBank` — ladder construction
-    never re-walks layers through the timing kernel (a per-exit map reuses
-    one table per distinct setting).  Bit-identical to a ``path_profile``
-    walk over each path's layers (the reference in
+    The profiles are gathered from the evaluator's cost store — ladder
+    construction never re-walks layers through the timing kernel, and a
+    per-exit map reads one store row per distinct setting.  Bit-identical
+    to a ``path_profile`` walk over each path's layers (the reference in
     ``tests/oracles/search.py``).
     """
-    positions = placement.positions
-    branches = [evaluator.branch_cost(p) for p in positions]
+    by_setting: dict[DvfsSetting, list[PathProfile]] = {}
     profiles = []
-    for index in range(len(positions) + 1):
-        table = evaluator.bank.table(governor.setting_for(index))
-        if index < len(positions):
-            profiles.append(table.exit_path_profile(positions, branches, index))
-        else:
-            profiles.append(table.full_path_profile(positions, branches))
+    for index in range(placement.num_exits + 1):
+        setting = governor.setting_for(index)
+        paths = by_setting.get(setting)
+        if paths is None:
+            paths = by_setting[setting] = evaluator.population.path_profiles(
+                placement.positions, setting
+            )
+        profiles.append(paths[index])
     return profiles
 
 

@@ -2,7 +2,7 @@
 
 Every function and method body below is the pre-optimisation code the
 production kernels in ``src/repro`` replaced, kept verbatim: the per-layer
-energy loop the cost tables reproduce, the per-pair and per-placement
+energy loop the cost store reproduces, the per-pair and per-placement
 evaluation loops the population kernels reproduce, the scalar objective
 computation the fused objectives reproduce, and the scalar Pareto sorts the
 dominance-matrix sorts reproduce.  The bit-identity tests and
@@ -58,7 +58,7 @@ def accumulate_reference(
     """The pre-cost-table per-layer Python loop, kept verbatim.
 
     This is the bit-identity oracle: the vectorized kernel
-    (:meth:`_accumulate`, the cost tables) must reproduce it exactly.
+    (:meth:`_accumulate`, the cost store) must reproduce it exactly.
     The dynamic-eval bench times it as the "before" baseline, and the
     hypothesis property tests diff the two paths bit for bit.
     """
@@ -114,7 +114,7 @@ def profiles_for_reference(
 ) -> list[PathProfile]:
     """Serving-ladder path profiles by a :func:`path_profile` walk over each
     path's layers (what ``serving.governor._profiles_for`` reads from the
-    cost tables)."""
+    cost store)."""
     positions = placement.positions
     profiles = []
     for index in range(len(positions) + 1):
@@ -216,7 +216,7 @@ class ReferenceDynamicEvaluator(DynamicEvaluator):
         stats = self.oracle.evaluate_placement(placement)
         positions = placement.positions
         if self.use_tables:
-            exit_energy, exit_latency, full_energy, full_latency = self._path_costs(
+            exit_energy, exit_latency, full_energy, full_latency = super().path_costs(
                 positions, setting
             )
         else:
@@ -409,13 +409,13 @@ class ReferenceDynamicEvaluator(DynamicEvaluator):
     def path_costs(self, positions: tuple[int, ...], setting: DvfsSetting):
         """Public ``(exit_energy, exit_latency, full_energy, full_latency)``.
 
-        Routed through the active kernel: the cost-table gathers when
+        Routed through the active kernel: the cost-store gather when
         ``use_tables`` (the runtime planners' fast path) or the reference
         per-layer loop otherwise — identical bits either way.
         """
         positions = tuple(positions)
         if self.use_tables:
-            return self._path_costs(positions, setting)
+            return super().path_costs(positions, setting)
         exit_reports = [
             self._exit_path_report(positions, i, setting)
             for i in range(len(positions))
@@ -434,9 +434,7 @@ class ReferenceDynamicEvaluator(DynamicEvaluator):
         """``(energy_j, latency_s)`` of the full network plus all branches."""
         positions = tuple(positions)
         if self.use_tables:
-            table = self.bank.table(setting)
-            branches = [self.branch_cost(p) for p in positions]
-            return table.full_path_cost(positions, branches)
+            return super().full_path_cost(positions, setting)
         report = self._full_path_report(positions, setting)
         return report.energy_j, report.latency_s
 

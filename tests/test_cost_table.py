@@ -1,12 +1,12 @@
-"""The vectorized dynamic-evaluation kernel: cost tables and bit-identity.
+"""The vectorized dynamic-evaluation kernel: the cost store and bit-identity.
 
-The cost-table kernel's contract is absolute: every number it produces —
-batch timings, prefix reports, exit-path costs, full dynamic evaluations —
-must equal the pre-refactor per-layer reference loop *bit for bit* (same
-float64 additions in the same order), so cache keys, golden artifacts and
-search trajectories are all unchanged.  These tests pin that contract on
-two registry platforms, plus the caching/sharing behaviour that makes the
-kernel O(exits) on the hot path.
+The cost store's contract is absolute: every number it produces — batch
+timings, exit-path costs, full dynamic evaluations — must equal the
+pre-refactor per-layer reference loop *bit for bit* (same float64
+additions in the same order), so cache keys, golden artifacts and search
+trajectories are all unchanged.  These tests pin that contract on two
+registry platforms, plus the row-sharing behaviour that makes the per-pair
+gather O(exits) on the hot path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.evaluation import ExitEvaluation, ideal_mapping_stats
 from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
-from repro.hardware.cost_table import CostTableBank, SettingCostTable
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel, interleaved_cumsum
 from repro.hardware.platform import get_platform
@@ -64,6 +63,21 @@ def _context(platform_key: str) -> dict:
             "reference": reference(DynamicEvaluator(**kwargs), tables=False),
         }
     return _CONTEXTS[platform_key]
+
+
+def _fresh_evaluator(platform_key: str) -> DynamicEvaluator:
+    """An evaluator with its own empty store and its own energy model (so
+    its timing-kernel call counters start at zero)."""
+    ctx = _context(platform_key)
+    shared = ctx["vectorized"]
+    return DynamicEvaluator(
+        config=ctx["config"],
+        cost=ctx["cost"],
+        oracle=shared.oracle,
+        energy_model=EnergyModel(ctx["platform"]),
+        baseline_energy_j=shared.baseline_energy_j,
+        baseline_latency_s=shared.baseline_latency_s,
+    )
 
 
 def _report_fields(report) -> tuple:
@@ -107,60 +121,69 @@ class TestBatchTiming:
 
 
 class TestSettingCostTable:
+    """One store row per setting, priced against the reference loop."""
+
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_prefix_report_equivalence(self, platform_key):
-        """Cumsum lookups == reference loop over every prefix, with and
-        without an exit branch."""
+        """A single-exit placement ``(p,)`` gathered from the store == the
+        reference loop over ``prefix(p)`` plus the exit branch, for every
+        legal ``p``."""
         ctx = _context(platform_key)
         cost, model, config = ctx["cost"], ctx["model"], ctx["config"]
+        evaluator = ctx["vectorized"]
         rng = np.random.default_rng(3)
-        channels = {
-            spec.index: (spec.out_channels, spec.out_resolution)
-            for spec in config.layers()
-            if spec.kind == "mbconv"
-        }
         for _ in range(3):
             setting = ctx["dvfs"].sample(rng)
-            table = SettingCostTable(model, cost, setting)
-            for position in range(1, config.total_mbconv_layers + 1):
+            for position in range(MIN_EXIT_POSITION, config.total_mbconv_layers):
+                exit_energy, exit_latency, _, _ = evaluator.path_costs(
+                    (position,), setting
+                )
                 reference = accumulate_reference(
-                    model, cost.prefix(position), setting
+                    model,
+                    list(cost.prefix(position)) + [evaluator.branch_cost(position)],
+                    setting,
                 )
-                assert _report_fields(table.prefix_report(position)) == _report_fields(
-                    reference
-                )
-                width, resolution = channels[position]
-                branch = exit_branch_cost(width, resolution, config.num_classes)
-                with_branch = accumulate_reference(
-                    model, list(cost.prefix(position)) + [branch], setting
-                )
-                assert _report_fields(
-                    table.prefix_report(position, exit_layer=branch)
-                ) == _report_fields(with_branch)
+                assert exit_energy.tolist() == [reference.energy_j]
+                assert exit_latency.tolist() == [reference.latency_s]
 
     @pytest.mark.parametrize("platform_key", PLATFORM_KEYS)
     def test_network_report_equivalence(self, platform_key):
         ctx = _context(platform_key)
         setting = ctx["dvfs"].default_setting()
-        table = SettingCostTable(ctx["model"], ctx["cost"], setting)
-        assert _report_fields(table.network_report()) == _report_fields(
+        assert _report_fields(
+            ctx["model"].network_report(ctx["cost"], setting)
+        ) == _report_fields(
             accumulate_reference(ctx["model"], ctx["cost"].layers, setting)
         )
 
     def test_branch_terms_cached_per_position(self):
+        """A new placement at a seen setting adds no row and re-enters no
+        timing kernel: every branch was costed in the row's own pass."""
         ctx = _context("tx2-gpu")
-        table = ctx["vectorized"].bank.table(ctx["dvfs"].default_setting())
-        branch = ctx["vectorized"].branch_cost(6)
-        assert table.branch_terms(6, branch) is table.branch_terms(6, branch)
+        evaluator = _fresh_evaluator("tx2-gpu")
+        setting = ctx["dvfs"].default_setting()
+        latency = evaluator.energy_model.latency
+        evaluator.path_costs((MIN_EXIT_POSITION,), setting)
+        rows, calls = len(evaluator.population), latency.batch_timing_calls
+        first = evaluator.path_costs((6, 9), setting)
+        assert evaluator.path_costs((6, 9), setting)[0].tobytes() == first[0].tobytes()
+        assert (len(evaluator.population), latency.batch_timing_calls) == (rows, calls)
 
     def test_bank_shares_tables_across_placements(self):
         ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        evaluator = _fresh_evaluator("tx2-gpu")
+        kernel = evaluator.population
+        latency = evaluator.energy_model.latency
         a = ctx["dvfs"].decode(0, 0)
         b = ctx["dvfs"].decode(1, 0)
-        assert bank.table(a) is bank.table(a)
-        bank.table(b)
-        assert len(bank) == 2
+        kernel.row_costs((6,), a)
+        calls = latency.batch_timing_calls
+        kernel.row_costs((7, 12), a)
+        assert len(kernel) == 1
+        assert latency.batch_timing_calls == calls
+        kernel.row_costs((6,), b)
+        assert len(kernel) == 2
+        assert latency.batch_timing_calls == calls + 1
 
     def test_vectorized_accumulate_matches_reference(self):
         """EnergyModel.composite_report (now vectorized) == reference loop

@@ -485,6 +485,32 @@ class TestFleetCli:
         assert "valid platforms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("window_ms", 0.0), ("window_ms", -400.0), ("max_batch", 0),
+     ("max_batch", -2), ("batch_timeout_ms", -1.0)],
+)
+def test_specs_reject_bad_window_and_batching(fleet, field, value, capsys):
+    """Both specs apply the simulators' window and batching rules at
+    construction, so both ``serve`` paths fail through ``parser.error``
+    before any simulation runs."""
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match=field):
+        if fleet:
+            FleetSpec(platforms=("tx2-gpu",), **{field: value})
+        else:
+            ServingSpec(**{field: value})
+    argv = ["serve", "--duration-s", "0.5", f"--{field.replace('_', '-')}={value}"]
+    if fleet:
+        argv += ["--fleet", "tx2-gpu"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert field in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- cache codec
 class TestFleetCache:
     def test_fleet_report_json_round_trip(self, tmp_path):

@@ -82,8 +82,9 @@ FLEET_DIGESTS = {
 
 #: Names that must never reappear in ``src/repro``: the search-kernel
 #: flags, the reference bodies they selected, the per-part cost lowering,
-#: and the serving reference engines with their ``engine=`` option, which
-#: live only here.
+#: the serving reference engines with their ``engine=`` option, which
+#: live only here, and the per-setting cost tables the stacked cost store
+#: replaced.
 RETIRED_NAMES = frozenset({
     "use_tables",
     "use_population_kernel",
@@ -121,6 +122,11 @@ RETIRED_NAMES = frozenset({
     "ReferenceFleetSimulator",
     "ReferenceDeviceLane",
     "run_fleet_cell_reference",
+    "SettingCostTable",
+    "CostTableBank",
+    "BranchTerms",
+    "branch_provider",
+    "repro.hardware.cost_table",
 })
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -402,7 +408,7 @@ class TestServingEngineOracle:
 
 
 def _identifiers(tree: ast.AST):
-    """Every name a module binds, reads, passes or defines."""
+    """Every name a module binds, reads, passes, defines or imports from."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.lineno, node.id
@@ -416,6 +422,8 @@ def _identifiers(tree: ast.AST):
             yield node.lineno, node.name
         elif isinstance(node, ast.alias):
             yield node.lineno, node.asname or node.name
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            yield node.lineno, node.module
 
 
 class TestNoReferencePathsInSrc:

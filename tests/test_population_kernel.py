@@ -1,20 +1,21 @@
 """Population-vectorized dynamic evaluation: stacked kernel bit-identity.
 
 ``DynamicEvaluator.evaluate_population`` lowers N placements at one DVFS
-setting to a single padded cumsum-gather over the setting's cost table.
-Its contract is the same absolute one the cost tables carry: every field
-of every returned :class:`DynamicEvaluation` equals the per-placement
-``evaluate`` loop *bit for bit*, across population sizes (including N=1
-and duplicate genomes), random placements and random settings — so search
-trajectories, caches and golden artifacts are unchanged no matter which
-kernel produced them.  Alongside it: the thread-safety of the shared
-:class:`CostTableBank`, the table-backed runtime planner/serving-profile
-paths, and the ``population-eval`` task codec that shards exhaustive DVFS
-grids.
+setting to a single padded gather over the evaluator's stacked cost store.
+Its contract is the same absolute one the store carries: every field of
+every returned :class:`DynamicEvaluation` equals the per-placement
+``evaluate`` loop (the store's one-row gather) *bit for bit*, across
+population sizes (including N=1 and duplicate genomes), random placements
+and random settings — so search trajectories, caches and golden artifacts
+are unchanged no matter which gather produced them.  Alongside it: the
+thread-safety of the store's row growth, the store-backed runtime
+planner/serving-profile paths with a golden digest of the serving ladder,
+and the ``population-eval`` task codec that shards exhaustive DVFS grids.
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import threading
 
@@ -29,12 +30,19 @@ from repro.arch.cost import estimate_cost
 from repro.baselines.attentivenas import attentivenas_model
 from repro.eval.dynamic import DynamicEvaluator
 from repro.exits.placement import MIN_EXIT_POSITION, ExitPlacement
-from repro.hardware.cost_table import CostTableBank
 from repro.hardware.dvfs import DvfsSpace
 from repro.hardware.energy import EnergyModel
 from repro.hardware.platform import get_platform
+from repro.hardware.population_kernel import PopulationPathCosts
 
 PLATFORM_KEYS = ("tx2-gpu", "carmel-cpu")
+
+#: blake2b of the planner's plans and the serving ladder on an a3 backbone
+#: (see ``TestRuntimePathsViaBank.test_serving_setup_golden_digest``).
+LADDER_DIGESTS = {
+    "tx2-gpu": "611bdac985c3230e4bfb8fb95cd651a9",
+    "carmel-cpu": "a983e499cc3e83e55f8e03d8fd287081",
+}
 
 _CONTEXTS: dict[str, dict] = {}
 
@@ -43,9 +51,9 @@ def _context(platform_key: str) -> dict:
     """Session-lazy heavy objects per platform.
 
     Three evaluators share one oracle (accuracy statistics are identical by
-    construction), so each comparison isolates exactly one cost kernel:
-    the stacked population kernel, the per-call cost-table path, and the
-    pre-table per-layer reference loop.
+    construction), so each comparison isolates exactly one cost path: the
+    stacked population gather, the per-call one-row gather, and the
+    per-layer reference loop.
     """
     if platform_key not in _CONTEXTS:
         platform = get_platform(platform_key)
@@ -103,6 +111,27 @@ def _placement_strategy(total_layers: int):
         min_size=1,
         max_size=6,
     ).map(lambda s: tuple(sorted(s)))
+
+
+class _LoopedRows:
+    """A population gather priced pair by pair through an evaluator's
+    ``path_costs`` (the per-layer loop on a ``tables=False`` reference)."""
+
+    def __init__(self, evaluator):
+        self._evaluator = evaluator
+
+    def path_costs(self, position_lists, settings) -> PopulationPathCosts:
+        rows = [
+            self._evaluator.path_costs(positions, setting)
+            for positions, setting in zip(position_lists, settings)
+        ]
+        return PopulationPathCosts(
+            widths=np.array([len(positions) for positions in position_lists]),
+            exit_energy_j=np.stack([row[0] for row in rows]),
+            exit_latency_s=np.stack([row[1] for row in rows]),
+            full_energy_j=np.array([row[2] for row in rows]),
+            full_latency_s=np.array([row[3] for row in rows]),
+        )
 
 
 class TestPopulationBitIdentity:
@@ -201,52 +230,70 @@ class TestPopulationBitIdentity:
 
 
 class TestCostTableBankThreadSafety:
-    def test_racing_builders_share_one_table(self):
-        ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
-        setting = ctx["dvfs"].default_setting()
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        tables = [None] * n_threads
+    """Racing threads grow the cost store by exactly one row per setting."""
 
-        def build(slot):
+    @staticmethod
+    def _race(kernel, positions, settings_for_slot, n_threads=8):
+        barrier = threading.Barrier(n_threads)
+        results = [None] * n_threads
+
+        def gather(slot):
             barrier.wait()
-            tables[slot] = bank.table(setting)
+            results[slot] = kernel.row_costs(positions, settings_for_slot(slot))
 
         threads = [
-            threading.Thread(target=build, args=(slot,)) for slot in range(n_threads)
+            threading.Thread(target=gather, args=(slot,)) for slot in range(n_threads)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(bank) == 1
-        assert all(table is tables[0] for table in tables)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # let the threads interleave inside the growth
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    @staticmethod
+    def _bytes(costs):
+        exit_energy, exit_latency, full_energy, full_latency = costs
+        return (
+            exit_energy.tobytes(),
+            exit_latency.tobytes(),
+            np.float64(full_energy).tobytes(),
+            np.float64(full_latency).tobytes(),
+        )
+
+    @staticmethod
+    def _fresh(ctx):
+        """An empty store over its own energy model, so the timing-kernel
+        call counter counts exactly this store's row builds."""
+        model = EnergyModel(ctx["platform"])
+        kernel = DynamicEvaluator(**{**ctx["kwargs"], "energy_model": model}).population
+        return kernel, model.latency
+
+    def test_racing_builders_share_one_table(self):
+        ctx = _context("tx2-gpu")
+        kernel, latency = self._fresh(ctx)
+        setting = ctx["dvfs"].default_setting()
+        positions = (MIN_EXIT_POSITION, 9, ctx["config"].total_mbconv_layers - 1)
+        results = self._race(kernel, positions, lambda slot: setting)
+        assert len(kernel) == latency.batch_timing_calls == 1
+        assert all(self._bytes(got) == self._bytes(results[0]) for got in results)
 
     def test_distinct_settings_race_to_distinct_tables(self):
         ctx = _context("tx2-gpu")
-        bank = CostTableBank(ctx["model"], ctx["cost"])
+        kernel, latency = self._fresh(ctx)
         rng = np.random.default_rng(3)
         settings_pair = [ctx["dvfs"].default_setting(), ctx["dvfs"].sample(rng)]
         assert settings_pair[0] != settings_pair[1]
-        n_threads = 8
-        barrier = threading.Barrier(n_threads)
-        tables = [None] * n_threads
-
-        def build(slot):
-            barrier.wait()
-            tables[slot] = bank.table(settings_pair[slot % 2])
-
-        threads = [
-            threading.Thread(target=build, args=(slot,)) for slot in range(n_threads)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(bank) == 2
-        for slot, table in enumerate(tables):
-            assert table is tables[slot % 2]
+        positions = (MIN_EXIT_POSITION + 1, 12)
+        results = self._race(kernel, positions, lambda slot: settings_pair[slot % 2])
+        assert len(kernel) == latency.batch_timing_calls == 2
+        for slot, got in enumerate(results):
+            assert self._bytes(got) == self._bytes(results[slot % 2])
 
 
 class TestStackedStoreThreadSafety:
@@ -303,7 +350,7 @@ class TestStackedStoreThreadSafety:
 
 
 class TestRuntimePathsViaBank:
-    """Runtime planners and serving profiles through the cost-table bank."""
+    """Runtime planners and serving profiles through the cost store."""
 
     def test_per_exit_plan_identical_to_reference(self):
         from repro.runtime.planner import plan_per_exit_dvfs
@@ -313,7 +360,11 @@ class TestRuntimePathsViaBank:
             ctx["config"].total_mbconv_layers, (6, 10, ctx["config"].total_mbconv_layers - 1)
         )
         table_plan = plan_per_exit_dvfs(ctx["population"], placement, ctx["dvfs"])
-        reference_plan = plan_per_exit_dvfs(ctx["reference"], placement, ctx["dvfs"])
+        # The planner prices its grid through ``evaluator.population``; here
+        # that gather is replaced by the per-layer reference loop, row by row.
+        looped = reference(DynamicEvaluator(**ctx["kwargs"]), tables=False)
+        looped.population = _LoopedRows(looped)
+        reference_plan = plan_per_exit_dvfs(looped, placement, ctx["dvfs"])
         assert table_plan.settings == reference_plan.settings
         assert table_plan.single_setting_energy_j == reference_plan.single_setting_energy_j
         assert table_plan.per_exit_energy_j == reference_plan.per_exit_energy_j
@@ -353,6 +404,101 @@ class TestRuntimePathsViaBank:
         assert np.array_equal(got[1], want[1])
         assert got[2] == want[2]
         assert got[3] == want[3]
+
+
+    @pytest.mark.parametrize("platform_key", sorted(LADDER_DIGESTS))
+    def test_serving_setup_golden_digest(self, platform_key):
+        """Planner plans at three slacks and the whole serving ladder —
+        settings, energies, thresholds, expected usage and every rung's path
+        profiles — hash to a digest recorded before the cost tables became
+        rows of the stacked store."""
+        from repro.runtime.planner import plan_per_exit_dvfs
+        from repro.serving.governor import _profiles_for, plan_config_ladder
+        from repro.serving.stream import LogitsSynthesizer
+
+        ctx = _context(platform_key)
+        evaluator = DynamicEvaluator(**ctx["kwargs"])
+        total = ctx["config"].total_mbconv_layers
+        placement = ExitPlacement(total, (6, 10, total - 1))
+        digest = hashlib.blake2b(digest_size=16)
+
+        def floats(values):
+            array = np.asarray(values, dtype=np.float64).ravel()
+            digest.update(np.int64(array.size).tobytes())
+            digest.update(array.tobytes())
+
+        def clocks(settings):
+            return [(s.core_ghz, s.emc_ghz) for s in settings]
+
+        for slack in (1.0, 1.5, 3.0):
+            plan = plan_per_exit_dvfs(
+                evaluator, placement, ctx["dvfs"], latency_slack=slack
+            )
+            floats(clocks(plan.settings.values()))
+            floats([plan.single_setting_energy_j, plan.per_exit_energy_j])
+        calibration = LogitsSynthesizer(
+            placement, backbone_accuracy=0.87, num_classes=100, seed=0
+        ).calibration_stream(256)
+        for rung in plan_config_ladder(evaluator, placement, ctx["dvfs"], calibration):
+            floats(clocks([rung.setting] + [s for _, s in rung.per_exit or ()]))
+            floats(rung.thresholds)
+            floats(rung.expected_usage)
+            floats([
+                rung.exit_rate,
+                rung.expected_accuracy,
+                rung.expected_busy_s,
+                rung.expected_latency_s,
+                rung.expected_energy_j,
+            ])
+            floats(rung.path_overheads_s)
+            floats(rung.path_latencies_s)
+            for profile in _profiles_for(evaluator, placement, rung.dvfs_governor()):
+                floats([
+                    profile.busy_s,
+                    profile.overhead_s,
+                    profile.dynamic_energy_j,
+                    profile.passive_power_w,
+                ])
+        assert digest.hexdigest() == LADDER_DIGESTS[platform_key]
+
+    @pytest.mark.parametrize(
+        "entry", ["evaluate", "path_costs", "fused_batch", "planner", "profiles"]
+    )
+    def test_fresh_setting_builds_one_row(self, entry):
+        """Whichever path first reaches a setting, its row costs one
+        batched timing pass and one ``cost_table.builds`` count, and a
+        second entry point at that setting costs neither."""
+        from repro.obs.trace import Recorder, recording
+        from repro.runtime.governor import DvfsGovernor
+        from repro.runtime.planner import plan_per_exit_dvfs
+        from repro.serving.governor import _profiles_for
+
+        ctx = _context("tx2-gpu")
+        model = EnergyModel(ctx["platform"])
+        evaluator = DynamicEvaluator(**{**ctx["kwargs"], "energy_model": model})
+        total = ctx["config"].total_mbconv_layers
+        placement = ExitPlacement(total, (6, 11, total - 1))
+        setting = ctx["dvfs"].default_setting()
+        enter = {
+            "evaluate": lambda: evaluator.evaluate(placement, setting),
+            "path_costs": lambda: evaluator.path_costs(placement.positions, setting),
+            "fused_batch": lambda: evaluator.population.fused_batch(
+                [placement], [setting], evaluator.oracle
+            ),
+            "planner": lambda: plan_per_exit_dvfs(evaluator, placement, ctx["dvfs"]),
+            "profiles": lambda: _profiles_for(
+                evaluator, placement, DvfsGovernor(setting)
+            ),
+        }
+        recorder = Recorder()
+        with recording(recorder):
+            enter[entry]()
+        rows = len(evaluator.population)
+        assert model.latency.batch_timing_calls == rows
+        assert recorder.counters["cost_table.builds"] == rows
+        for other in ("evaluate", "path_costs", "fused_batch", "profiles"):
+            enter[other]()
+        assert model.latency.batch_timing_calls == rows == len(evaluator.population)
 
 
 class TestPopulationEvalCodec:

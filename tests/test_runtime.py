@@ -302,11 +302,13 @@ class TestStreamSimulator:
             simulator.simulate(exit_logits, final_logits, labels, OracleController())
 
     def test_warm_bank_prices_paths_from_tables(self, simulator):
-        """With the bank warm at the governor's setting, a fresh simulator
-        prices every path without one per-layer timing call, and its report
-        equals the per-layer reference loop's byte for byte."""
+        """With the cost store warm at the governor's setting, a fresh
+        simulator prices every path without one per-layer timing call, and
+        its report equals the per-layer reference loop's byte for byte."""
         evaluator = simulator.evaluator
-        evaluator.bank.table(simulator.governor.setting_for(0))
+        evaluator.path_costs(
+            simulator.placement.positions, simulator.governor.setting_for(0)
+        )
         latency = evaluator.energy_model.latency
         before = latency.layer_timing_calls
         exit_logits, final_logits, labels = _stream(n=80, exits=3)
