@@ -6,17 +6,18 @@ timestamped request streams through searched designs:
 
 * :mod:`~repro.serving.workload` — load generators (Poisson, bursty MMPP,
   diurnal, replayed flash-crowd traces) with per-request difficulty;
-* :mod:`~repro.serving.batcher` — the array-backed micro-batcher (size
-  cap / head-of-line timeout) and queue-depth admission control
-  (drop/defer, critical bypass);
+* :mod:`~repro.serving.batcher` — batching (size cap / head-of-line
+  timeout) and queue-depth admission policies (drop/defer, critical
+  bypass), and the span batcher for queue-free input;
 * :mod:`~repro.serving.stream` — difficulty-conditioned logits so the real
   entropy controllers make the exit decisions;
 * :mod:`~repro.serving.governor` — the runtime-config ladder (exit-rate ×
   DVFS tier) and the adaptive governor vs the static baseline;
 * :mod:`~repro.serving.scenarios` — thermal-cap and battery-budget
   environments;
-* :mod:`~repro.serving.simulator` — the discrete-event loop with batched
-  hardware pricing and SLO telemetry;
+* :mod:`~repro.serving.simulator` — the serving core: batched hardware
+  pricing, the lane loop (one queue per SLO class, critical-first) and the
+  single-device simulator;
 * :mod:`~repro.serving.harness` — spec → report cells, fanned out through
   the engine's :class:`~repro.engine.service.EvaluationService`;
 * :mod:`~repro.serving.deploy` — the searched-design mount

@@ -1,33 +1,30 @@
-"""Request queues and micro-batchers for the serving simulator.
+"""Batching and admission policies, and the span batcher.
 
-The batcher implements the standard two-trigger policy used by serving
-systems: dispatch a batch when it is *full* (``max_batch`` requests) or when
-the oldest queued request has waited ``timeout_s`` — whichever comes first.
-While the device is busy, arrivals keep accumulating and may top the next
-batch up to ``max_batch`` ("opportunistic fill"), which is what makes
-micro-batching pay off exactly when the system is under pressure.
+Serving batches by the standard two-trigger policy: dispatch a batch when
+it is *full* (``max_batch`` requests) or when the oldest queued request has
+waited ``timeout_s`` — whichever comes first.  While the device is busy,
+arrivals keep accumulating and may top the next batch up to ``max_batch``
+("opportunistic fill"), which is what makes micro-batching pay off exactly
+when the system is under pressure.
 
-:class:`ArrayBatcher` is the indexed batcher behind the vectorized event
-core.  On the default path (no admission control, one SLO class) batches
-are contiguous index ranges over the sorted arrival array, so
-``next_batch`` is a couple of ``searchsorted`` calls and a pointer bump —
+:class:`ArrayBatcher` serves queue-free input (no admission control, one
+SLO class): batches are then contiguous index ranges over the sorted
+arrival array, so forming one is two bisections and a pointer bump —
 bit-identical dispatch decisions to the original object/deque batcher
 (kept as a frozen reference in ``tests/oracles/serving.py``) at a fraction
-of the cost.  With an :class:`AdmissionPolicy` or latency-critical
-requests present it switches to explicit per-class integer queues:
-critical-first dispatch, and arrivals beyond the queue cap are dropped
-(or deferred) instead of ballooning the backlog.
+of the cost.  Input with an :class:`AdmissionPolicy` or latency-critical
+requests needs a queue and runs on the lane loop
+(:func:`~repro.serving.simulator.serve_lanes`): critical-first dispatch,
+and arrivals beyond the queue cap are dropped or deferred instead of
+ballooning the backlog.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.serving.workload import LATENCY_CRITICAL, Trace
+from repro.serving.workload import Trace
 from repro.utils.validation import check_nonneg, check_positive
 
 #: Admission modes: ``drop`` rejects over-cap arrivals outright, ``defer``
@@ -71,131 +68,39 @@ class AdmissionPolicy:
             )
 
 
-def admit_prefix(
-    position: np.ndarray, critical: np.ndarray, space: int, critical_bypass: bool
-) -> np.ndarray:
-    """Closed form of the per-arrival queue-depth cap over a no-dispatch stretch.
-
-    Between two dispatches the queue only grows, so evaluating the cap at
-    each arrival instant collapses to a prefix rule: an arrival is admitted
-    iff its position among the stretch's arrivals is below the ``space``
-    the queue had when the stretch began, or it is latency-critical under
-    ``critical_bypass``.  (Criticals admitted past the cap still occupy
-    queue space, but any later best-effort arrival then sits at a position
-    ≥ ``space`` anyway, so the two formulations decide identically.)
-    :class:`ArrayBatcher` gates arrivals through it in cutoff order.
-    """
-    admit = position < space
-    if critical_bypass:
-        admit = admit | critical
-    return admit
-
-
 class ArrayBatcher:
     """Index-arithmetic micro-batcher over a trace's arrival array.
 
-    Two modes, chosen at construction:
-
-    * **span mode** (``contiguous`` is True; no admission policy and no
-      latency-critical requests): the queue is implicit — a head pointer
-      into the sorted arrival array.  The deque batcher provably drains its
-      queue completely on every dispatch (admission is capped at
-      ``max_batch`` and every pop takes ``min(max_batch, len)``), so batches
-      are always contiguous index ranges; :meth:`next_batch` reduces to two
-      ``searchsorted`` calls.  Bit-identical to the deque batcher.
-    * **queue mode** (admission control and/or SLO classes): explicit
-      per-class integer deques.  Latency-critical requests dispatch first
-      within each batch window; arrivals beyond the admission cap are
-      dropped or deferred at their (lazily evaluated) arrival instants.
-
-    ``next_batch`` returns ``(start_s, indices)`` with ``indices`` an int64
-    array; span mode callers can use :meth:`next_span` instead to get the
-    ``(start_s, lo, hi)`` range without materialising the array.
+    For queue-free input only (no admission policy, no latency-critical
+    requests): the queue is then implicit — a head pointer into the sorted
+    arrival array.  The deque batcher provably drains its queue completely
+    on every dispatch (admission is capped at ``max_batch`` and every pop
+    takes ``min(max_batch, len)``), so batches are always contiguous index
+    ranges and :meth:`next_span` reduces to two bisections.  Bit-identical
+    to the deque batcher.  Queued input runs on the lane loop instead
+    (:func:`~repro.serving.simulator.serve_lanes`).
     """
 
-    def __init__(
-        self,
-        trace: Trace,
-        policy: BatchPolicy,
-        admission: AdmissionPolicy | None = None,
-    ):
+    def __init__(self, trace: Trace, policy: BatchPolicy):
         self.policy = policy
-        self.admission = admission
-        self._times = np.ascontiguousarray(trace.arrival_s, dtype=float)
-        # Python-float mirror of the arrival array: the per-batch lookups
-        # (``next_span``/``backlog_at``) are a few elements each, where
-        # ``bisect_right`` over a list beats an ndarray ``searchsorted``
-        # call by its fixed per-call overhead.  Same doubles, same
-        # ``side="right"`` semantics.
-        self._times_list: list[float] = self._times.tolist()
-        self._classes = trace.slo_class
-        self._n = len(self._times)
-        self._has_critical = bool(np.any(self._classes == LATENCY_CRITICAL))
-        self.contiguous = admission is None and not self._has_critical
-        # Span mode: head pointer over the arrival array.
-        self._head = 0
-        # Queue mode: gate cursor + per-class admitted queues + reject books.
-        self._cursor = 0  # next arrival not yet gated through admission
-        self._crit: deque[int] = deque()
-        self._be: deque[int] = deque()
-        self._deferred: deque[int] = deque()
-        self._dropped: list[int] = []
-        self._ever_deferred = 0
-        self._dispatched = 0
-        if self._has_critical:
-            flags = (np.asarray(self._classes) == LATENCY_CRITICAL).astype(np.int64)
-            self._crit_cum = np.concatenate([[0], np.cumsum(flags)])
-        else:
-            self._crit_cum = None
-
-    # ------------------------------------------------------------ telemetry
-    @property
-    def pending(self) -> int:
-        """Requests currently admitted but not dispatched."""
-        if self.contiguous:
-            return 0
-        return len(self._crit) + len(self._be)
-
-    @property
-    def num_dispatched(self) -> int:
-        return self._dispatched
-
-    @property
-    def num_dropped(self) -> int:
-        return len(self._dropped)
-
-    @property
-    def num_deferred(self) -> int:
-        """Requests that were parked in the deferred queue at least once."""
-        return self._ever_deferred
-
-    def dropped_indices(self) -> np.ndarray:
-        return np.asarray(self._dropped, dtype=np.int64)
+        # Python-float arrival list: the per-batch lookups (``next_span``/
+        # ``backlog_at``) are a few elements each, where ``bisect_right``
+        # over a list beats an ndarray ``searchsorted`` call by its fixed
+        # per-call overhead.  Same doubles, same ``side="right"`` semantics.
+        self._times_list: list[float] = trace.arrival_s.tolist()
+        self._n = len(self._times_list)
+        self._head = 0  # first undispatched arrival
 
     def backlog_at(self, now_s: float) -> int:
-        """Arrived-but-undispatched (and not dropped) requests at ``now_s``."""
-        arrived = bisect_right(self._times_list, now_s)
-        if self.contiguous:
-            return max(arrived - self._head, 0)
-        ungated = max(arrived - self._cursor, 0)
-        return len(self._crit) + len(self._be) + len(self._deferred) + ungated
+        """Arrived-but-undispatched requests at ``now_s``."""
+        return max(bisect_right(self._times_list, now_s) - self._head, 0)
 
-    def critical_backlog_at(self, now_s: float) -> int:
-        """Latency-critical share of :meth:`backlog_at` (0 when untagged)."""
-        if not self._has_critical:
-            return 0
-        arrived = bisect_right(self._times_list, now_s)
-        hi = max(arrived, self._cursor)
-        ungated = int(self._crit_cum[hi] - self._crit_cum[self._cursor])
-        return len(self._crit) + ungated
-
-    # ------------------------------------------------------------ span mode
     def next_span(self, device_free_s: float) -> tuple[float, int, int] | None:
         """Form the next batch as a contiguous ``[lo, hi)`` index range.
 
-        Only valid in span mode.  The two-trigger policy collapses to index
-        arithmetic: the head-of-line expiry and full-batch fill are both
-        ``searchsorted`` lookups over the sorted arrival array.
+        The two-trigger policy collapses to index arithmetic: the
+        head-of-line expiry and full-batch fill are both bisections over
+        the sorted arrival array.  ``None`` once the trace is exhausted.
         """
         head = self._head
         if head >= self._n:
@@ -216,125 +121,4 @@ class ArrayBatcher:
         start = device_free_s if device_free_s > trigger else trigger
         hi = bisect_right(times, start, head, cap)
         self._head = hi
-        self._dispatched += hi - head
         return float(start), head, hi
-
-    # ----------------------------------------------------------- queue mode
-    def _gate(self, cutoff_s: float) -> None:
-        """Admit arrivals with ``arrival <= cutoff`` through the policy.
-
-        Backlog only grows between dispatches, so evaluating the cap lazily
-        at gate time is equivalent to evaluating it at each arrival instant:
-        within one gate the queue never shrinks, which makes admission a
-        prefix rule — best-effort newcomers are admitted while
-        ``depth + position < max_queue`` and rejected from then on
-        (criticals bypass the cap when ``critical_bypass`` is set, but still
-        occupy queue space).  Deferred requests re-enter first, FIFO.
-        """
-        admission = self.admission
-        if admission is not None and self._deferred:
-            space = admission.max_queue - len(self._crit) - len(self._be)
-            while space > 0 and self._deferred:
-                index = self._deferred.popleft()
-                if self._classes[index] == LATENCY_CRITICAL:
-                    self._crit.append(index)
-                else:
-                    self._be.append(index)
-                space -= 1
-        k = int(np.searchsorted(self._times, cutoff_s, side="right"))
-        if k <= self._cursor:
-            return
-        new = np.arange(self._cursor, k)
-        self._cursor = k
-        critical = np.asarray(self._classes[new]) == LATENCY_CRITICAL
-        if admission is None:
-            admit = np.ones(len(new), dtype=bool)
-        else:
-            space = admission.max_queue - len(self._crit) - len(self._be)
-            admit = admit_prefix(
-                np.arange(len(new)), critical, space, admission.critical_bypass
-            )
-        for index, crit, ok in zip(new.tolist(), critical.tolist(), admit.tolist()):
-            if ok:
-                (self._crit if crit else self._be).append(index)
-            elif admission.mode == "defer":
-                self._deferred.append(index)
-                self._ever_deferred += 1
-            else:
-                self._dropped.append(index)
-
-    def _head_arrival(self) -> float:
-        times = self._times
-        if self._crit and self._be:
-            a, b = times[self._crit[0]], times[self._be[0]]
-            return float(a if a <= b else b)
-        if self._crit:
-            return float(times[self._crit[0]])
-        return float(times[self._be[0]])
-
-    def _fill_arrival(self) -> float:
-        """Arrival instant of the batch-completing request.
-
-        The ``max_batch``-th smallest arrival among the first ``max_batch``
-        entries of each class queue (exact when queues are arrival-sorted,
-        which holds in every mode except after defer re-admission).
-        """
-        mb = self.policy.max_batch
-        times = self._times
-        arrivals = [times[i] for _, i in zip(range(mb), self._crit)]
-        arrivals += [times[i] for _, i in zip(range(mb), self._be)]
-        arrivals.sort()
-        return float(arrivals[mb - 1])
-
-    def _select(self, start: float) -> list[int]:
-        """Pop up to ``max_batch`` dispatchable members, critical first.
-
-        Within each class, requests leave in admission order; a member must
-        have arrived by ``start``.  Arrival-sorted queues make this a prefix
-        scan per class.
-        """
-        times = self._times
-        mb = self.policy.max_batch
-        batch: list[int] = []
-        for queue in (self._crit, self._be):
-            while queue and len(batch) < mb and times[queue[0]] <= start:
-                batch.append(queue.popleft())
-        return batch
-
-    def _next_batch_queued(self, device_free_s: float) -> tuple[float, np.ndarray] | None:
-        while not (self._crit or self._be):
-            if self._deferred:
-                index = self._deferred.popleft()
-                if self._classes[index] == LATENCY_CRITICAL:
-                    self._crit.append(index)
-                else:
-                    self._be.append(index)
-            elif self._cursor < self._n:
-                # Seed the queue by gating at the next arrival instant
-                # (ties gate together, subject to the admission cap).
-                self._gate(float(self._times[self._cursor]))
-            else:
-                return None
-        expiry = self._head_arrival() + self.policy.timeout_s
-        self._gate(expiry)
-        if len(self._crit) + len(self._be) >= self.policy.max_batch:
-            trigger = self._fill_arrival()
-            if trigger < self._head_arrival():
-                trigger = self._head_arrival()
-        else:
-            trigger = expiry
-        start = max(device_free_s, trigger)
-        self._gate(start)  # opportunistic fill + admission of interval arrivals
-        batch = self._select(start)
-        self._dispatched += len(batch)
-        return start, np.asarray(batch, dtype=np.int64)
-
-    def next_batch(self, device_free_s: float) -> tuple[float, np.ndarray] | None:
-        """Form the next batch; ``(start_s, request indices)`` or ``None``."""
-        if self.contiguous:
-            formed = self.next_span(device_free_s)
-            if formed is None:
-                return None
-            start, lo, hi = formed
-            return start, np.arange(lo, hi, dtype=np.int64)
-        return self._next_batch_queued(device_free_s)

@@ -9,10 +9,13 @@ the single-device stack).  One trace arrives at a shared front door; a
 pluggable :class:`~repro.serving.router.FleetRouter` assigns every request
 to a device lane at arrival time (latency-critical requests spill off
 backlogged lanes earlier than best-effort ones), and each lane then
-batches and serves its share with the single-device simulator's batching
-and governor semantics.  Lanes carry request *indices*, not objects, and
-price batches through the same compiled per-config executor as the
-single-device simulator (:class:`~repro.serving.simulator._CompiledConfig`).
+batches and serves its share.
+
+The lanes run on the lane loop, :func:`~repro.serving.simulator.serve_lanes`
+— the one queue model the single-device simulator also uses for admission-
+gated or SLO-class input.  Each lane keeps one FIFO per SLO class and
+dispatches latency-critical requests first within each batch window, so
+a one-lane fleet serves exactly the single device's schedule.
 
 With an :class:`~repro.serving.batcher.AdmissionPolicy` the fleet applies
 queue-depth admission at the lane door: a request routed to a full lane is
@@ -20,15 +23,6 @@ dropped (fleet admission is drop-only — "defer" would amount to
 re-routing, which the router spill guard already does at arrival time).
 Dropped requests never complete (NaN completion); latency statistics cover
 served requests only.
-
-Dispatch is deterministic: requests are routed in arrival order, and a
-lane only forms a batch once no future arrival could still join it (the
-same two-trigger + opportunistic-fill semantics as
-:class:`~repro.serving.batcher.ArrayBatcher`, re-derived for a queue that
-grows one routed request at a time).  Lane queues are FIFO: unlike the
-single-device simulator, which dispatches latency-critical requests first,
-a lane serves its queue in arrival order whatever the class, so a one-lane
-fleet and the single device differ whenever 0 < ``critical_fraction`` < 1.
 
 The frozen per-request reference loop this engine reproduces bit for bit
 lives in ``tests/oracles/serving.py``.
@@ -41,63 +35,45 @@ results persisted under the ``fleet`` cache namespace.
 from __future__ import annotations
 
 import dataclasses
-import gc
-from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.engine.cache import ResultCache
 from repro.engine.service import EvaluationService
 from repro.engine.tasks import spec_task, task_spec
-from repro.hardware.energy import PathProfile
 from repro.hardware.platform import resolve_platform_keys
-from repro.obs import trace as tracing
-from repro.serving.batcher import AdmissionPolicy, BatchPolicy
+from repro.serving.batcher import AdmissionPolicy
 from repro.serving.deploy import DeployedDesign
 from repro.serving.governor import (
     AdaptiveGovernor,
     GovernorObservation,
-    RuntimeConfig,
     ServingPolicy,
     StaticPolicy,
-    _profiles_for,
     static_config_for,
 )
 from repro.serving.harness import (
-    POLICY_NAMES,
     ServingSpec,
     ServingStack,
     build_serving_stack,
     reference_config,
 )
-from repro.serving.router import (
-    ROUTER_NAMES,
-    BlockLaneState,
-    FleetRouter,
-    make_router,
-)
-from repro.serving.scenarios import Scenario, ThermalState, get_scenario
+from repro.serving.router import ROUTER_NAMES, FleetRouter, make_router
+from repro.serving.scenarios import Scenario, get_scenario
 from repro.serving.simulator import (
     CompiledStream,
-    _CompiledConfig,
+    Lane,
     compile_stream,
+    gc_paused,
+    serve_lanes,
 )
 from repro.serving.stream import ServingStream
 from repro.serving.telemetry import class_latency_stats, percentile_ms
-from repro.serving.workload import (
-    LATENCY_CRITICAL,
-    LOAD_PATTERNS,
-    SLO_CLASSES,
-    Trace,
-    make_trace,
-)
-from repro.utils.validation import check_nonneg, check_positive
+from repro.serving.workload import SLO_CLASSES, Trace, make_trace
+from repro.utils.validation import check_positive
 
 #: Bump when fleet-cell semantics change; orphans persisted fleet entries.
-FLEET_CELL_VERSION = "4"
+FLEET_CELL_VERSION = "5"
 
 
 @dataclass(frozen=True)
@@ -141,23 +117,10 @@ class FleetSpec:
         )
         if self.router not in ROUTER_NAMES:
             raise ValueError(f"unknown router {self.router!r}; valid: {ROUTER_NAMES}")
-        if self.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {self.policy!r}; valid: {POLICY_NAMES}")
-        get_scenario(self.scenario)
-        if self.pattern not in LOAD_PATTERNS:
-            raise ValueError(
-                f"unknown load pattern {self.pattern!r}; valid: {LOAD_PATTERNS}"
-            )
-        check_positive("slo_ms", self.slo_ms)
-        check_positive("duration_s", self.duration_s)
-        check_positive("utilization", self.utilization)
-        # The simulators' own rules, enforced here so a bad spec fails at
-        # construction (and the CLI through ``parser.error``).
-        check_positive("max_batch", self.max_batch)
-        check_nonneg("batch_timeout_ms", self.batch_timeout_ms)
-        check_positive("window_ms", self.window_ms)
-        if self.rate_hz is not None:
-            check_positive("rate_hz", self.rate_hz)
+        # Every member is built from a device spec: apply the single-device
+        # rules here, so a bad spec fails at construction (and the CLI
+        # through ``parser.error``) instead of inside the sweep.
+        self.device_spec(self.platforms[0], self.rate_hz)
         if not 0.0 <= self.critical_fraction <= 1.0:
             raise ValueError("critical_fraction must lie in [0, 1]")
         if self.admission_max_queue is not None:
@@ -207,7 +170,7 @@ class DeviceTelemetry:
 
     platform: str
     requests: int
-    share: float  # fraction of fleet requests routed here
+    share: float  # fraction of fleet requests served here (lane drops excluded)
     batches: int
     mean_batch_size: float
     utilization: float  # busy seconds / fleet makespan
@@ -277,120 +240,29 @@ class FleetReport:
         return 1.0 - self.deadline_miss_rate
 
 
-class DeviceLane:
-    """One fleet member: a serving stack plus its live queue and meters.
+class DeviceLane(Lane):
+    """One fleet member: a lane built from a serving stack.
 
-    The lane exposes what routers observe (device-free time, queue depth,
-    reference capacity) and owns the per-device governor state the simulator
-    drives (current config, decision clock, thermal, compiled-config
-    caches).  The queue holds request *indices*; arrival bookkeeping is an
-    append-only sorted list plus pop counters, so :meth:`backlog_at` is a
-    bisect instead of the former O(queue) copy per call.
+    Adds what routers weigh lanes by: the reference capacity, a pure
+    function of the (frozen) mid-rate reference config and batch policy,
+    computed once instead of chasing the config property chain per routing
+    decision.
     """
 
     def __init__(self, index: int, stack: ServingStack, policy: ServingPolicy):
-        self.index = index
+        super().__init__(
+            index,
+            policy,
+            stack.evaluator,
+            stack.placement,
+            stack.ladder,
+            stack.batch_policy,
+            stack.spec.platform,
+        )
         self.stack = stack
-        self.policy = policy
-        self.reference = reference_config(stack.ladder)
-        self.coolest = min(stack.ladder, key=lambda c: c.expected_power_w)
-        self.max_power_w = max(c.expected_power_w for c in stack.ladder)
-        # The reference capacity is a pure function of the (frozen) reference
-        # config and batch policy; routers read it per decision, so it is
-        # computed once instead of chasing the config property chain per call.
-        self.reference_capacity_rps = self.reference.capacity_rps(stack.batch_policy)
-        # Live queue: routed-but-undispatched request indices, FIFO by arrival.
-        self._queue: deque[int] = deque()
-        self._queue_arrivals: deque[float] = deque()
-        # Append-only arrival books (sorted: requests route in arrival order).
-        self._admitted_times: list[float] = []  # admitted arrivals ever
-        self._crit_times: list[float] = []  # admitted latency-critical arrivals
-        self._popped = 0  # dispatched prefix of _admitted_times
-        self._crit_popped = 0  # dispatched prefix of _crit_times
-        self._routed_times: list[float] = []  # every routed arrival (rate window)
-        self._rate_cursor = 0  # left bisect bound for the trailing rate window
-        # Device clocks.
-        self.t_free = 0.0
-        self.clock = 0.0
-        self.next_decision = 0.0
-        self.config: RuntimeConfig | None = None
-        self.thermal: ThermalState | None = None
-        # Caches shared across batches.
-        self._profiles: dict[str, list[PathProfile]] = {}
-        self._compiled: dict[str, _CompiledConfig] = {}
-        # Meters.
-        self.request_indices: list[int] = []
-        self.busy_s = 0.0
-        self.energy_j = 0.0
-        self.switching_energy_j = 0.0
-        self.num_batches = 0
-        self.throttled = 0
-        self.governor_decisions = 0
-        self.critical_requests = 0
-        self.num_dropped = 0
-        self.config_usage: dict[str, int] = {}
-        self.exit_counts = np.zeros(stack.placement.num_exits + 1, dtype=np.int64)
-
-    # ------------------------------------------------------------- the queue
-    @property
-    def queue_depth(self) -> int:
-        return len(self._queue)
-
-    def backlog_at(self, now_s: float) -> int:
-        """Routed requests that have arrived but not dispatched by ``now_s``.
-
-        Dispatch pops arrival-ordered prefixes and only pops arrivals ≤ the
-        dispatch instant, so at any observation time the simulator uses
-        (a batch start or later) the count is exactly (admitted arrivals ≤
-        now) − (popped); querying an earlier instant clamps at zero.
-        """
-        # Starting the search at the popped prefix keeps the bisect inside
-        # the (short, cache-warm) backlog region instead of the whole book.
-        # Exact on sorted input: if the prefix itself reaches past ``now_s``
-        # both forms clamp to zero.
-        popped = self._popped
-        return max(bisect_right(self._admitted_times, now_s, popped) - popped, 0)
-
-    def critical_backlog_at(self, now_s: float) -> int:
-        """Latency-critical share of :meth:`backlog_at`."""
-        if not self._crit_times:
-            return 0
-        popped = self._crit_popped
-        return max(bisect_right(self._crit_times, now_s, popped) - popped, 0)
-
-    def arrival_rate_hz(self, now_s: float, window_s: float, fallback: float) -> float:
-        """Routed arrivals/second (admitted or dropped) over the trailing window."""
-        if now_s <= 0:
-            return fallback
-        window_start = max(0.0, now_s - window_s)
-        routed = self._routed_times
-        n = len(routed)
-        # Observation instants are monotone per lane, so the window's left
-        # edge only moves right: resume the bisect at the last cursor.
-        lo = bisect_left(routed, window_start, self._rate_cursor)
-        self._rate_cursor = lo
-        if n and routed[n - 1] <= now_s:
-            hi = n
-        else:
-            hi = bisect_right(routed, now_s)
-        return (hi - lo) / max(now_s - window_start, 1e-9)
-
-    # ---------------------------------------------------------- config state
-    def profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
-        if config.name not in self._profiles:
-            self._profiles[config.name] = _profiles_for(
-                self.stack.evaluator, self.stack.placement, config.dvfs_governor()
-            )
-        return self._profiles[config.name]
-
-    def compiled_of(
-        self, config: RuntimeConfig, cstream: CompiledStream, switch_cost_j: float
-    ) -> _CompiledConfig:
-        if config.name not in self._compiled:
-            self._compiled[config.name] = _CompiledConfig(
-                config, self.profiles_of(config), cstream, switch_cost_j
-            )
-        return self._compiled[config.name]
+        self.reference_capacity_rps = reference_config(stack.ladder).capacity_rps(
+            stack.batch_policy
+        )
 
 
 def build_fleet_stacks(spec: FleetSpec) -> list[ServingStack]:
@@ -437,10 +309,9 @@ def build_fleet_trace_and_stream(
 class FleetSimulator:
     """Replays one trace through a router onto N heterogeneous lanes.
 
-    Each lane serves its queue FIFO whatever the SLO class, unlike
-    :class:`~repro.serving.simulator.ServingSimulator`, which dispatches
-    latency-critical requests first: a one-lane fleet matches the single
-    device on single-class traffic only.
+    Every lane dispatches latency-critical requests first within each batch
+    window, like :class:`~repro.serving.simulator.ServingSimulator`: both
+    run the lane loop, so a one-lane fleet matches the single device.
     """
 
     def __init__(
@@ -471,6 +342,8 @@ class FleetSimulator:
         self._total_capacity_rps = sum(
             lane.reference_capacity_rps for lane in self.lanes
         )
+        for lane in self.lanes:
+            lane.rate_share = lane.reference_capacity_rps / self._total_capacity_rps
 
     def _policy_for(self, stack: ServingStack) -> ServingPolicy:
         if self.spec.policy == "static":
@@ -497,30 +370,8 @@ class FleetSimulator:
         battery_budget_j: float | None,
         battery_spent_j: float,
     ) -> GovernorObservation:
-        share = lane.reference_capacity_rps / self._total_capacity_rps
-        rate = lane.arrival_rate_hz(
-            now_s, self.window_s, fallback=trace.mean_rate_hz * share
-        )
-        power_cap = (
-            lane.thermal.power_cap_w(lane.max_power_w) if lane.thermal else None
-        )
-        energy_cap = None
-        if battery_budget_j is not None:
-            remaining_j = max(battery_budget_j - battery_spent_j, 0.0)
-            remaining_requests = max(
-                trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0
-            )
-            energy_cap = remaining_j / remaining_requests
-        return GovernorObservation(
-            now_s=now_s,
-            window_s=self.window_s,
-            arrival_rate_hz=rate,
-            backlog=lane.backlog_at(now_s),
-            slo_s=self.slo_s,
-            temperature_c=lane.thermal.temperature_c if lane.thermal else 0.0,
-            power_cap_w=power_cap,
-            energy_cap_j=energy_cap,
-            critical_backlog=lane.critical_backlog_at(now_s),
+        return lane.observe(
+            now_s, trace, self.window_s, self.slo_s, battery_budget_j, battery_spent_j
         )
 
     # -------------------------------------------------------------- main loop
@@ -530,7 +381,7 @@ class FleetSimulator:
             raise ValueError(
                 f"stream carries {stream.final_logits.shape[0]} requests, trace has {n}"
             )
-        placement = self.lanes[0].stack.placement
+        placement = self.lanes[0].placement
         if stream.num_exits != placement.num_exits:
             raise ValueError(
                 f"stream carries {stream.num_exits} exit heads but the deployed "
@@ -544,45 +395,19 @@ class FleetSimulator:
         correct = np.zeros(n, dtype=bool)
         battery_budget = self._battery_budget_j(trace)
 
-        fleet_capacity = sum(lane.reference_capacity_rps for lane in self.lanes)
         for lane in self.lanes:
-            lane.thermal = (
-                ThermalState(self.scenario.thermal, lane.max_power_w)
-                if self.scenario.thermal is not None
-                else None
+            # The lane's capacity share of the mean rate; a fleet of one
+            # starts from the single device's t=0 observation.
+            lane.begin(
+                self.scenario,
+                trace.mean_rate_hz * lane.reference_capacity_rps / self._total_capacity_rps,
+                self.window_s,
+                self.slo_s,
             )
-            # The t=0 observation is the same minimal one the single-device
-            # simulator hand-builds (no caps, no backlog) at the lane's
-            # capacity share of the mean rate — keeping a fleet of one
-            # bit-identical to ServingSimulator in *every* scenario.
-            lane.config = lane.policy.select(
-                GovernorObservation(
-                    now_s=0.0,
-                    window_s=self.window_s,
-                    arrival_rate_hz=trace.mean_rate_hz
-                    * lane.reference_capacity_rps / fleet_capacity,
-                    backlog=0,
-                    slo_s=self.slo_s,
-                )
-            )
-            lane.governor_decisions += 1
-            lane.next_decision = self.window_s
-
-        # The event loop allocates acyclically (flat books, batch lists
-        # freed as they are priced), so cycle collection has nothing to find
-        # — but generational collections still traverse the ever-growing
-        # books, costing seconds per million requests.  Pause the collector
-        # for the run.
-        was_enabled = gc.isenabled()
-        if was_enabled:
-            gc.disable()
-        try:
+        with gc_paused():
             return self._serve(
                 trace, router, cstream, completion, correct, battery_budget
             )
-        finally:
-            if was_enabled:
-                gc.enable()
 
     def _serve(
         self,
@@ -593,331 +418,21 @@ class FleetSimulator:
         correct: np.ndarray,
         battery_budget: float | None,
     ) -> FleetReport:
-        """Per-arrival fleet event loop over flat lane state.
-
-        Each arrival makes one
-        :meth:`~repro.serving.router.FleetRouter.route_block` call and one
-        :meth:`~repro.serving.router.BlockLaneState.admit` check against a
-        :class:`BlockLaneState` holding the live lane depths and
-        device-free times.  The fleet then drains every batch that
-        dispatches before the next arrival through a **lazy min-heap** of
-        (pending start, lane) entries instead of scanning every lane per
-        request: a lane's entry is re-pushed only when its pending start
-        changes, and entries that no longer match the lane's pending start
-        are skipped on pop.  The heap's tuple order — ascending start, ties
-        on lane index — is the order a per-request scan over the lanes
-        would dispatch in.
-
-        Dispatch pricing goes through
-        :meth:`~repro.serving.simulator._CompiledConfig.price_indices` (the
-        same Python-float tables as the single-device simulator), and
-        completion/correctness scatters happen once at the end.
-        """
-        n = trace.num_requests
-        lanes = self.lanes
-        num_lanes = len(lanes)
-        admission = self.admission
-        state = BlockLaneState(
-            lanes,
-            max_queue=admission.max_queue if admission is not None else None,
-            critical_bypass=admission.critical_bypass if admission is not None else True,
+        """The lane loop over the fleet's lanes, then the report."""
+        battery_spent, battery_exhausted = serve_lanes(
+            self.lanes,
+            trace,
+            cstream,
+            completion,
+            correct,
+            window_s=self.window_s,
+            slo_s=self.slo_s,
+            emergency_backlog=self.emergency_backlog,
+            switch_cost_j=self.switch_cost_j,
+            battery_budget_j=battery_budget,
+            admission=self.admission,
+            router=router,
         )
-        t_free = state.t_free
-        depth = state.depth
-        route_block = router.route_block
-        admit = state.admit
-
-        times_np = trace.arrival_s
-        difficulty_np = trace.difficulty
-        any_crit = trace.num_critical > 0
-        slo_class_np = trace.slo_class
-
-        recorder = tracing.active()
-        observe = self._observe
-        window_s = self.window_s
-        emergency = self.emergency_backlog
-        switch_cost = self.switch_cost_j
-        battery_spent = 0.0
-        battery_exhausted = False
-        has_battery = battery_budget is not None
-
-        heap: list[tuple[float, int]] = []
-        heap_push = heappush
-        heap_pop = heappop
-        br = bisect_right
-        inf = float("inf")
-        # The start each lane's newest heap entry carries (inf: empty queue).
-        pend = [inf] * num_lanes
-
-        # Per-lane hot state as parallel lists indexed by lane: one list
-        # lookup replaces two attribute hops everywhere the per-request
-        # loop touches a lane, and pure-accumulator meters fold back into
-        # the lane objects once at the end (same per-lane accumulation
-        # order, hence bit-identical sums).
-        queues = [lane._queue for lane in lanes]
-        qarrs = [lane._queue_arrivals for lane in lanes]
-        q_append = [lane._queue.append for lane in lanes]
-        qa_append = [lane._queue_arrivals.append for lane in lanes]
-        adm_lists = [lane._admitted_times for lane in lanes]
-        adm_append = [lane._admitted_times.append for lane in lanes]
-        routed_append = [lane._routed_times.append for lane in lanes]
-        ridx_append = [lane.request_indices.append for lane in lanes]
-        max_batch = [lane.stack.batch_policy.max_batch for lane in lanes]
-        timeout = [lane.stack.batch_policy.timeout_s for lane in lanes]
-        policies = [lane.policy for lane in lanes]
-        thermals = [lane.thermal for lane in lanes]
-        usages = [lane.config_usage for lane in lanes]
-        compiled_maps = [lane._compiled for lane in lanes]
-        configs = [lane.config for lane in lanes]
-        last_active: list[RuntimeConfig | None] = [None] * num_lanes
-        last_compiled: list[_CompiledConfig | None] = [None] * num_lanes
-        last_count = [0] * num_lanes
-        next_decision = [lane.next_decision for lane in lanes]
-        clocks = [lane.clock for lane in lanes]
-        popped = [lane._popped for lane in lanes]
-        energy_acc = [lane.energy_j for lane in lanes]
-        busy_acc = [lane.busy_s for lane in lanes]
-        switch_acc = [lane.switching_energy_j for lane in lanes]
-        nbatch_acc = [lane.num_batches for lane in lanes]
-        ndecision_acc = [lane.governor_decisions for lane in lanes]
-        nthrottle_acc = [lane.throttled for lane in lanes]
-        lane_counter = [
-            f"fleet.lane.{lane.stack.spec.platform}.batches" for lane in lanes
-        ]
-
-        # Dispatch log: per-batch index lists and completion times, scattered
-        # into the report arrays once at the end (a numpy fancy write per
-        # two-request batch costs more than the batch itself).
-        # Served requests accumulate *flat* (indices + per-batch sizes), not
-        # as retained batch lists: a million retained small lists keeps the
-        # GC-tracked heap growing all run and generational collections go
-        # quadratic.  Flat int/float lists are opaque to the GC.
-        served_flat: list[int] = []
-        served_sizes: list[int] = []
-        served_ends: list[float] = []
-        sf_extend = served_flat.extend
-        ss_append = served_sizes.append
-        se_append = served_ends.append
-        # Correctness groups by compiled config (correct[i] depends on which
-        # config served request i).
-        correct_groups: dict[int, tuple[_CompiledConfig, list[list[int]]]] = {}
-        # Exit tallies as plain int lists; folded into the numpy meters once.
-        exit_lists = [[0] * len(lane.exit_counts) for lane in lanes]
-
-        def dispatch(li: int, start: float, batch: list[int]) -> None:
-            nonlocal battery_spent, battery_exhausted
-            lane = lanes[li]
-            thermal = thermals[li]
-            if thermal is not None and start > clocks[li]:
-                thermal.advance(0.0, start - clocks[li])  # idle: device cools
-            size = len(batch)
-            # Spike check counts the in-flight batch: it was popped already
-            # but it is still unserved work.  The queue length bounds the
-            # backlog from above (it ignores the arrival cutoff), so a short
-            # queue rules a spike out without the bisect.
-            if len(queues[li]) + size <= emergency:
-                spike = False
-            else:
-                backlog = br(adm_lists[li], start, popped[li]) - popped[li]
-                spike = backlog + size > emergency
-            if start >= next_decision[li] or spike:
-                lane._popped = popped[li]  # the observation reads the meter
-                obs = observe(lane, start, trace, battery_budget, battery_spent)
-                configs[li] = policies[li].select(obs)
-                ndecision_acc[li] += 1
-                if recorder is not None:
-                    recorder.count("fleet.governor_decisions")
-                next_decision[li] = start + window_s
-            active = configs[li]
-            if thermal is not None and thermal.throttled:
-                active = lane.coolest  # hardware throttle overrides the policy
-                nthrottle_acc[li] += 1
-            if recorder is not None:
-                recorder.count("fleet.batches")
-                recorder.count(lane_counter[li])
-                recorder.observe("fleet.batch_size", size)
-
-            # The active config changes only at governor decisions, so the
-            # usage tally and compiled lookup run cached between changes and
-            # flush on switch (and once at fold-back).
-            if active is last_active[li]:
-                last_count[li] += 1
-                compiled = last_compiled[li]
-            else:
-                prev = last_active[li]
-                if prev is not None:
-                    usage = usages[li]
-                    usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
-                last_active[li] = active
-                last_count[li] = 1
-                compiled = compiled_maps[li].get(active.name)
-                if compiled is None:
-                    compiled = lane.compiled_of(active, cstream, switch_cost)
-                if compiled._dec_req is None:
-                    compiled.ensure_tables()
-                last_compiled[li] = compiled
-            latency, energy, switch = compiled.price_indices(batch, exit_lists[li])
-            switch_acc[li] += switch
-
-            end = start + latency
-            sf_extend(batch)
-            ss_append(size)
-            se_append(end)
-            group = correct_groups.get(id(compiled))
-            if group is None:
-                correct_groups[id(compiled)] = (compiled, list(batch))
-            else:
-                group[1].extend(batch)
-
-            energy_acc[li] += energy
-            busy_acc[li] += latency
-            battery_spent += energy
-            if has_battery and battery_spent > battery_budget:
-                battery_exhausted = True
-            if thermal is not None and latency > 0:
-                thermal.advance(energy / latency, latency)
-            clocks[li] = end
-            t_free[li] = end
-            depth[li] = len(queues[li])
-            nbatch_acc[li] += 1
-            # The popped heap entry is spent: always push the new pending.
-            qa = qarrs[li]
-            if qa:
-                expiry = qa[0] + timeout[li]
-                mb = max_batch[li]
-                if len(qa) >= mb:
-                    t = qa[mb - 1]
-                    trigger = t if t <= expiry else expiry
-                else:
-                    trigger = expiry
-                nxt = end if end > trigger else trigger
-                pend[li] = nxt
-                heap_push(heap, (nxt, li))
-            else:
-                pend[li] = inf
-
-        # Arrival columns convert lazily per chunk: same Python floats as a
-        # full .tolist(), without ~24 MB of boxed floats resident at 10⁶.
-        chunk = 65536
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            a_chunk = times_np[lo:hi].tolist()
-            d_chunk = difficulty_np[lo:hi].tolist()
-            c_chunk = slo_class_np[lo:hi].tolist()
-            last = hi - lo - 1
-            for k in range(hi - lo):
-                arrival = a_chunk[k]
-                slo_class = c_chunk[k]
-                li = route_block(d_chunk[k], slo_class, arrival, state)
-                if recorder is not None:
-                    # One routing call per arrival: the perfbench catalog
-                    # reads these as blocks of size one.
-                    recorder.count("fleet.blocks")
-                    recorder.observe("fleet.block_size", 1)
-                routed_append[li](arrival)
-                critical = slo_class == LATENCY_CRITICAL
-                if admit(li, critical):
-                    i = lo + k
-                    q_append[li](i)
-                    qa_append[li](arrival)
-                    adm_append[li](arrival)
-                    ridx_append[li](i)
-                    if critical:
-                        lane = lanes[li]
-                        lane._crit_times.append(arrival)
-                        lane.critical_requests += 1
-                    # A push moves the pending start only when it seeds an
-                    # empty queue (timeout trigger) or fills a full batch.
-                    qa = qarrs[li]
-                    size = len(qa)
-                    mb = max_batch[li]
-                    if size == 1 or size == mb:
-                        expiry = qa[0] + timeout[li]
-                        if size >= mb:
-                            t = qa[mb - 1]
-                            trigger = t if t <= expiry else expiry
-                        else:
-                            trigger = expiry
-                        tf = t_free[li]
-                        start = tf if tf > trigger else trigger
-                        if start != pend[li]:
-                            pend[li] = start
-                            heap_push(heap, (start, li))
-                else:
-                    lanes[li].num_dropped += 1
-
-                if k < last:
-                    until = a_chunk[k + 1]
-                elif hi < n:
-                    until = float(times_np[hi])
-                else:
-                    until = inf
-                # Drain: dispatch every batch that starts before the next
-                # arrival, skipping entries whose lane pending has moved.
-                while heap:
-                    start, li = heap[0]
-                    if start >= until:
-                        break
-                    heap_pop(heap)
-                    if pend[li] != start:
-                        continue
-                    # Form the batch at its dispatch instant: arrival-ordered
-                    # prefix, opportunistic fill up to the start.
-                    qa = qarrs[li]
-                    mb = max_batch[li]
-                    bsize = 0
-                    for t in qa:
-                        if bsize >= mb or t > start:
-                            break
-                        bsize += 1
-                    q = queues[li]
-                    batch = [q.popleft() for _ in range(bsize)]
-                    if any_crit:
-                        lane = lanes[li]
-                        crit_times = lane._crit_times
-                        crit_popped = lane._crit_popped
-                        for _ in range(bsize):
-                            t = qa.popleft()
-                            if (
-                                crit_popped < len(crit_times)
-                                and crit_times[crit_popped] <= t
-                            ):
-                                crit_popped += 1
-                        lane._crit_popped = crit_popped
-                    else:
-                        for _ in range(bsize):
-                            qa.popleft()
-                    popped[li] += bsize
-                    dispatch(li, start, batch)
-
-        # Fold the hot-state accumulators back into the lane objects.
-        for li, lane in enumerate(lanes):
-            prev = last_active[li]
-            if prev is not None and last_count[li]:
-                usage = usages[li]
-                usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
-            lane.config = configs[li]
-            lane.next_decision = next_decision[li]
-            lane.clock = clocks[li]
-            lane.t_free = t_free[li]
-            lane._popped = popped[li]
-            lane.energy_j = energy_acc[li]
-            lane.busy_s = busy_acc[li]
-            lane.switching_energy_j = switch_acc[li]
-            lane.num_batches = nbatch_acc[li]
-            lane.governor_decisions = ndecision_acc[li]
-            lane.throttled = nthrottle_acc[li]
-            lane.exit_counts += np.asarray(exit_lists[li], dtype=np.int64)
-
-        # One scatter for completion/correctness instead of per-batch writes.
-        if served_ends:
-            flat = np.asarray(served_flat, dtype=np.int64)
-            sizes = np.asarray(served_sizes, dtype=np.int64)
-            completion[flat] = np.repeat(np.asarray(served_ends), sizes)
-        for compiled, idx_list in correct_groups.values():
-            idx = np.asarray(idx_list, dtype=np.int64)
-            correct[idx] = compiled.correct[idx]
-
         return self._report(trace, completion, correct, battery_budget,
                             battery_spent, battery_exhausted)
 
@@ -948,7 +463,7 @@ class FleetSimulator:
             lane_served = len(idx)
             devices.append(
                 DeviceTelemetry(
-                    platform=lane.stack.spec.platform,
+                    platform=lane.name,
                     requests=lane_served,
                     share=lane_served / n if n else 0.0,
                     batches=lane.num_batches,

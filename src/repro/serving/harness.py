@@ -101,6 +101,9 @@ class ServingSpec:
         check_positive("duration_s", self.duration_s)
         check_positive("num_exits", self.num_exits)
         check_positive("utilization", self.utilization)
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes!r}")
+        check_positive("calibration_samples", self.calibration_samples)
         # The simulators' own rules, enforced here so a bad spec fails at
         # construction (and the CLI through ``parser.error``).
         check_positive("max_batch", self.max_batch)

@@ -1,7 +1,7 @@
-"""The discrete-event edge-serving simulator.
+"""The serving core: the compiled executor, the lane loop, one device.
 
-Feeds a timestamped request :class:`~repro.serving.workload.Trace` through a
-micro-batcher onto a single simulated edge device.  Per decision window the
+Feeds a timestamped request :class:`~repro.serving.workload.Trace` through
+micro-batching onto simulated edge devices.  Per decision window the
 serving policy picks a :class:`~repro.serving.governor.RuntimeConfig`
 (entropy thresholds + DVFS); per batch the *real* entropy controller decides
 each request's exit, the hardware model prices the batch (busy time
@@ -11,31 +11,46 @@ serialises, dispatch overhead is shared —
 energy across the intra-batch exit sequence.  Thermal and battery state
 evolve alongside and feed back into the governor's observation.
 
-The event core is vectorized: an
-:class:`~repro.serving.batcher.ArrayBatcher` forms batches as index
-arithmetic over the arrival array, and a per-config compiled executor
-(:class:`_CompiledConfig`) precomputes full-stream exit decisions,
-correctness and per-path cost tables once, so the per-batch work is a few
-table lookups.  Without admission control or SLO classes, reports are
-bit-identical to the original per-request loop over
-:class:`~repro.serving.workload.Request` objects, which is kept as a frozen
-reference in ``tests/oracles/serving.py``.
+A per-config compiled executor (:class:`_CompiledConfig`) precomputes
+full-stream exit decisions, correctness and per-path cost tables once, so
+the per-batch work is a few table lookups.  Two event loops drive it:
 
-The simulator supports admission control
-(:class:`~repro.serving.batcher.AdmissionPolicy`) and latency-critical /
-best-effort SLO classes; dropped requests never complete (NaN completion)
-and latency statistics are computed over *served* requests only.  Within
-each batch window latency-critical requests dispatch first.  Fleet lanes
-(:mod:`repro.serving.fleet`) are FIFO instead, so a one-lane fleet and this
-simulator differ whenever 0 < ``critical_fraction`` < 1.
+* the **span path** (:class:`ServingSimulator` on queue-free input: no
+  admission control, no latency-critical requests).  Batches are then
+  contiguous index ranges over the arrival array, which
+  :class:`~repro.serving.batcher.ArrayBatcher` forms by index arithmetic.
+  Reports are bit-identical to the original per-request loop over
+  :class:`~repro.serving.workload.Request` objects, kept as a frozen
+  reference in ``tests/oracles/serving.py``.
+* the **lane loop** (:func:`serve_lanes`), the one queue model: every
+  input that needs a queue.  Each :class:`Lane` holds one FIFO per SLO
+  class.  A batch starts at the head-of-line expiry or at the arrival of
+  the ``max_batch``-th queued request, whichever comes first (never before
+  the device is free), and takes the queued latency-critical requests that
+  arrived by its start, then best-effort ones, up to ``max_batch``.  With
+  an :class:`~repro.serving.batcher.AdmissionPolicy`, arrivals beyond the
+  queue cap are dropped or, in ``defer`` mode, parked and re-admitted FIFO
+  ahead of any later arrival as dispatches free space.  The fleet
+  (:mod:`repro.serving.fleet`) runs it over N routed lanes;
+  :class:`ServingSimulator` runs it over one lane for admission-gated or
+  SLO-class input, so a one-lane fleet and the single device serve the
+  same schedule.
 
-Everything is deterministic: the trace, the logits stream and every policy
-decision are pure functions of the seed and configuration.
+Dropped requests never complete (NaN completion) and latency statistics
+cover *served* requests only.  Everything is deterministic: the trace, the
+logits stream and every policy decision are pure functions of the seed and
+configuration.
 """
 
 from __future__ import annotations
 
+import gc
+from bisect import bisect_left, bisect_right
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from itertools import islice
 
 import numpy as np
 
@@ -51,10 +66,11 @@ from repro.serving.governor import (
     ServingPolicy,
     _profiles_for,
 )
+from repro.serving.router import BlockLaneState, FleetRouter
 from repro.serving.scenarios import Scenario, ThermalState
 from repro.serving.stream import ServingStream
 from repro.serving.telemetry import ServingReport, class_latency_stats, percentile_ms
-from repro.serving.workload import SLO_CLASSES, Trace
+from repro.serving.workload import LATENCY_CRITICAL, SLO_CLASSES, Trace
 from repro.utils.validation import check_positive
 
 @dataclass(frozen=True)
@@ -231,7 +247,7 @@ class _CompiledConfig:
     ) -> tuple[float, float, float]:
         """:meth:`price_span` for an explicit request-index batch.
 
-        Fleet lanes and queue-mode batches are not contiguous, so this is
+        Lane-loop batches are not contiguous, so this is
         :meth:`price_span` generalised to an index list, off the same
         Python-float tables: sequential left-to-right sums and a strict
         first-maximum.  It also tallies the batch's per-exit decisions into
@@ -295,13 +311,586 @@ class _RunState:
     peak_temperature_c: float = 0.0
 
 
+@contextmanager
+def gc_paused():
+    """Pause the cyclic collector around an event loop.
+
+    The loops allocate acyclically (flat books, batch lists freed as they
+    are priced), so cycle collection has nothing to find — but generational
+    collections still traverse the ever-growing books, costing seconds per
+    million requests.
+    """
+    was_enabled = gc.isenabled()
+    if was_enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _arrived(arrivals: deque[float], now_s: float) -> int:
+    """How many of the arrival-sorted ``arrivals`` came at or before ``now_s``."""
+    if not arrivals or arrivals[-1] <= now_s:
+        return len(arrivals)
+    return bisect_right(arrivals, now_s)
+
+
+def _nth_arrival(crit: deque[float], best: deque[float], n: int) -> float:
+    """The ``n``-th earliest arrival across two arrival-sorted class queues."""
+    if not crit:
+        return best[n - 1]
+    if not best:
+        return crit[n - 1]
+    return sorted([*islice(crit, n), *islice(best, n)])[n - 1]
+
+
+def _take(
+    queue: deque[int], arrivals: deque[float], start: float, room: int, batch: list[int]
+) -> int:
+    """Move up to ``room`` requests that arrived by ``start`` off the front
+    of one class queue onto ``batch``; returns how many moved."""
+    k = 0
+    for t in arrivals:
+        if k >= room or t > start:
+            break
+        k += 1
+    for _ in range(k):
+        arrivals.popleft()
+        batch.append(queue.popleft())
+    return k
+
+
+class Lane:
+    """One simulated device of the lane loop: queues, governor state, meters.
+
+    The queue is one FIFO per SLO class of admitted-but-undispatched request
+    indices, each with a parallel deque of arrival times, plus — under a
+    ``defer`` admission gate — a FIFO of parked ``(index, arrival,
+    critical)`` entries.  Each class queue stays arrival-sorted: parked
+    requests re-enter before any later arrival is admitted.
+
+    Routers read ``index``, ``t_free``, :attr:`queue_depth` and
+    ``reference_capacity_rps``, which only fleet lanes
+    (:class:`~repro.serving.fleet.DeviceLane`) carry.  ``rate_share`` is
+    the share of the trace's mean rate this lane expects, the governor's
+    rate before any arrival.
+    """
+
+    reference_capacity_rps: float | None = None
+
+    def __init__(
+        self,
+        index: int,
+        policy: ServingPolicy,
+        evaluator: DynamicEvaluator,
+        placement: ExitPlacement,
+        ladder: list[RuntimeConfig],
+        batch_policy: BatchPolicy,
+        name: str = "device",
+    ):
+        self.index = index
+        self.policy = policy
+        self.evaluator = evaluator
+        self.placement = placement
+        self.batch_policy = batch_policy
+        self.name = name
+        self.coolest = min(ladder, key=lambda c: c.expected_power_w)
+        self.max_power_w = max(c.expected_power_w for c in ladder)
+        self.rate_share = 1.0
+        # Queues.
+        self._crit: deque[int] = deque()
+        self._crit_arrivals: deque[float] = deque()
+        self._be: deque[int] = deque()
+        self._be_arrivals: deque[float] = deque()
+        self._deferred: deque[tuple[int, float, bool]] = deque()
+        self._routed_times: list[float] = []  # every routed arrival (rate window)
+        self._rate_cursor = 0  # left bisect bound for the trailing rate window
+        # Device clocks and governor state.
+        self.t_free = 0.0
+        self.clock = 0.0
+        self.next_decision = 0.0
+        self.config: RuntimeConfig | None = None
+        self.thermal: ThermalState | None = None
+        # Caches shared across batches.
+        self._profiles: dict[str, list[PathProfile]] = {}
+        self._compiled: dict[str, _CompiledConfig] = {}
+        # Meters.
+        self.request_indices: list[int] = []  # admitted here
+        self.busy_s = 0.0
+        self.energy_j = 0.0
+        self.switching_energy_j = 0.0
+        self.num_batches = 0
+        self.throttled = 0
+        self.governor_decisions = 0
+        self.critical_requests = 0
+        self.num_dropped = 0
+        self.num_deferred = 0
+        self.config_usage: dict[str, int] = {}
+        self.exit_counts = np.zeros(placement.num_exits + 1, dtype=np.int64)
+
+    # ------------------------------------------------------------- the queue
+    @property
+    def queue_depth(self) -> int:
+        """Admitted requests not yet dispatched (parked ones excluded)."""
+        return len(self._crit) + len(self._be)
+
+    def backlog_at(self, now_s: float) -> int:
+        """Queued and parked requests that arrived by ``now_s``."""
+        parked = sum(1 for _, arrival, _ in self._deferred if arrival <= now_s)
+        return (
+            _arrived(self._crit_arrivals, now_s)
+            + _arrived(self._be_arrivals, now_s)
+            + parked
+        )
+
+    def critical_backlog_at(self, now_s: float) -> int:
+        """Queued latency-critical requests that arrived by ``now_s``."""
+        return _arrived(self._crit_arrivals, now_s)
+
+    def arrival_rate_hz(self, now_s: float, window_s: float, fallback: float) -> float:
+        """Routed arrivals/second (admitted or not) over the trailing window."""
+        if now_s <= 0:
+            return fallback
+        window_start = max(0.0, now_s - window_s)
+        routed = self._routed_times
+        n = len(routed)
+        # Observation instants are monotone per lane, so the window's left
+        # edge only moves right: resume the bisect at the last cursor.
+        lo = bisect_left(routed, window_start, self._rate_cursor)
+        self._rate_cursor = lo
+        if n and routed[n - 1] <= now_s:
+            hi = n
+        else:
+            hi = bisect_right(routed, now_s)
+        return (hi - lo) / max(now_s - window_start, 1e-9)
+
+    # ---------------------------------------------------------- config state
+    def profiles_of(self, config: RuntimeConfig) -> list[PathProfile]:
+        if config.name not in self._profiles:
+            self._profiles[config.name] = _profiles_for(
+                self.evaluator, self.placement, config.dvfs_governor()
+            )
+        return self._profiles[config.name]
+
+    def compiled_of(
+        self, config: RuntimeConfig, cstream: CompiledStream, switch_cost_j: float
+    ) -> _CompiledConfig:
+        if config.name not in self._compiled:
+            self._compiled[config.name] = _CompiledConfig(
+                config, self.profiles_of(config), cstream, switch_cost_j
+            )
+        return self._compiled[config.name]
+
+    def begin(
+        self, scenario: Scenario, rate_hz: float, window_s: float, slo_s: float
+    ) -> None:
+        """Start the run: thermal state and the t=0 governor decision.
+
+        The t=0 observation is minimal (no caps, no backlog) at the lane's
+        expected arrival rate ``rate_hz``.
+        """
+        self.thermal = (
+            ThermalState(scenario.thermal, self.max_power_w)
+            if scenario.thermal is not None
+            else None
+        )
+        self.config = self.policy.select(
+            GovernorObservation(
+                now_s=0.0,
+                window_s=window_s,
+                arrival_rate_hz=rate_hz,
+                backlog=0,
+                slo_s=slo_s,
+            )
+        )
+        self.governor_decisions += 1
+        self.next_decision = window_s
+
+    def observe(
+        self,
+        now_s: float,
+        trace: Trace,
+        window_s: float,
+        slo_s: float,
+        battery_budget_j: float | None,
+        battery_spent_j: float,
+    ) -> GovernorObservation:
+        """What this lane's governor sees at ``now_s``."""
+        rate = self.arrival_rate_hz(
+            now_s, window_s, fallback=trace.mean_rate_hz * self.rate_share
+        )
+        thermal = self.thermal
+        energy_cap = None
+        if battery_budget_j is not None:
+            remaining_j = max(battery_budget_j - battery_spent_j, 0.0)
+            remaining_requests = max(
+                trace.mean_rate_hz * max(trace.duration_s - now_s, 0.0), 1.0
+            )
+            energy_cap = remaining_j / remaining_requests
+        return GovernorObservation(
+            now_s=now_s,
+            window_s=window_s,
+            arrival_rate_hz=rate,
+            backlog=self.backlog_at(now_s),
+            slo_s=slo_s,
+            temperature_c=thermal.temperature_c if thermal else 0.0,
+            power_cap_w=thermal.power_cap_w(self.max_power_w) if thermal else None,
+            energy_cap_j=energy_cap,
+            critical_backlog=self.critical_backlog_at(now_s),
+        )
+
+
+def serve_lanes(
+    lanes: list[Lane],
+    trace: Trace,
+    cstream: CompiledStream,
+    completion: np.ndarray,
+    correct: np.ndarray,
+    *,
+    window_s: float,
+    slo_s: float,
+    emergency_backlog: float,
+    switch_cost_j: float = 0.0,
+    battery_budget_j: float | None = None,
+    admission: AdmissionPolicy | None = None,
+    router: FleetRouter | None = None,
+) -> tuple[float, bool]:
+    """The lane loop: serve ``trace`` on ``lanes``, one arrival at a time.
+
+    Each arrival joins the lane ``router.route_block`` picks (lane 0 without
+    a router) and passes that lane's admission gate,
+    :meth:`~repro.serving.router.BlockLaneState.admit`.  The loop then
+    drains every batch that dispatches before the next arrival through a
+    **lazy min-heap** of (pending start, lane) entries instead of scanning
+    every lane per request: a lane's entry is re-pushed only when its
+    pending start changes, and entries that no longer match the lane's
+    pending start are skipped on pop.  The heap's tuple order — ascending
+    start, ties on lane index — is the order a per-request scan over the
+    lanes would dispatch in.  A batch forms only once the loop has routed
+    every arrival up to its start, so no later arrival could still join it
+    and every governor observation sees exactly the arrivals up to its
+    instant.
+
+    Lanes must have been started (:meth:`Lane.begin`).  Batches price
+    through :meth:`_CompiledConfig.price_indices`; ``completion`` and
+    ``correct`` are scattered once at the end and the lane meters are
+    filled in place.  Routed runs trace under ``fleet.*``, single lanes
+    under ``serving.*``.  Returns ``(battery_spent_j, battery_exhausted)``.
+    """
+    n = trace.num_requests
+    num_lanes = len(lanes)
+    state = BlockLaneState(
+        lanes,
+        max_queue=admission.max_queue if admission is not None else None,
+        critical_bypass=admission.critical_bypass if admission is not None else True,
+    )
+    max_queue = admission.max_queue if admission is not None else 0
+    defer = admission is not None and admission.mode == "defer"
+    t_free = state.t_free
+    depth = state.depth
+    admit = state.admit
+    routed = router is not None
+    route_block = router.route_block if routed else None
+
+    times_np = trace.arrival_s
+    difficulty_np = trace.difficulty
+    slo_class_np = trace.slo_class
+
+    recorder = tracing.active()
+    meter = "fleet" if routed else "serving"
+    decisions_name = f"{meter}.governor_decisions"
+    throttled_name = f"{meter}.throttled_batches"
+    batches_name = f"{meter}.batches"
+    size_name = f"{meter}.batch_size"
+    battery_spent = 0.0
+    battery_exhausted = False
+    has_battery = battery_budget_j is not None
+
+    heap: list[tuple[float, int]] = []
+    heap_push = heappush
+    heap_pop = heappop
+    inf = float("inf")
+    # The start each lane's newest heap entry carries (inf: empty queue).
+    pend = [inf] * num_lanes
+
+    # Per-lane hot state as parallel lists indexed by lane: one list
+    # lookup replaces two attribute hops everywhere the per-request
+    # loop touches a lane, and pure-accumulator meters fold back into
+    # the lane objects once at the end (same per-lane accumulation
+    # order, hence bit-identical sums).
+    cqs = [lane._crit for lane in lanes]
+    cas = [lane._crit_arrivals for lane in lanes]
+    bqs = [lane._be for lane in lanes]
+    bas = [lane._be_arrivals for lane in lanes]
+    parked = [lane._deferred for lane in lanes]
+    routed_append = [lane._routed_times.append for lane in lanes]
+    ridx_append = [lane.request_indices.append for lane in lanes]
+    max_batch = [lane.batch_policy.max_batch for lane in lanes]
+    timeout = [lane.batch_policy.timeout_s for lane in lanes]
+    policies = [lane.policy for lane in lanes]
+    thermals = [lane.thermal for lane in lanes]
+    usages = [lane.config_usage for lane in lanes]
+    compiled_maps = [lane._compiled for lane in lanes]
+    configs = [lane.config for lane in lanes]
+    last_active: list[RuntimeConfig | None] = [None] * num_lanes
+    last_compiled: list[_CompiledConfig | None] = [None] * num_lanes
+    last_count = [0] * num_lanes
+    next_decision = [lane.next_decision for lane in lanes]
+    clocks = [lane.clock for lane in lanes]
+    energy_acc = [lane.energy_j for lane in lanes]
+    busy_acc = [lane.busy_s for lane in lanes]
+    switch_acc = [lane.switching_energy_j for lane in lanes]
+    nbatch_acc = [lane.num_batches for lane in lanes]
+    ndecision_acc = [lane.governor_decisions for lane in lanes]
+    nthrottle_acc = [lane.throttled for lane in lanes]
+    lane_counter = [f"fleet.lane.{lane.name}.batches" for lane in lanes]
+
+    # Dispatch log: per-batch index lists and completion times, scattered
+    # into the report arrays once at the end (a numpy fancy write per
+    # two-request batch costs more than the batch itself).
+    # Served requests accumulate *flat* (indices + per-batch sizes), not
+    # as retained batch lists: a million retained small lists keeps the
+    # GC-tracked heap growing all run and generational collections go
+    # quadratic.  Flat int/float lists are opaque to the GC.
+    served_flat: list[int] = []
+    served_sizes: list[int] = []
+    served_ends: list[float] = []
+    sf_extend = served_flat.extend
+    ss_append = served_sizes.append
+    se_append = served_ends.append
+    # Correctness groups by compiled config (correct[i] depends on which
+    # config served request i).
+    correct_groups: dict[int, tuple[_CompiledConfig, list[int]]] = {}
+    # Exit tallies as plain int lists; folded into the numpy meters once.
+    exit_lists = [[0] * len(lane.exit_counts) for lane in lanes]
+
+    def dispatch(li: int, start: float, batch: list[int]) -> None:
+        nonlocal battery_spent, battery_exhausted
+        lane = lanes[li]
+        thermal = thermals[li]
+        ca = cas[li]
+        ba = bas[li]
+        waiting = parked[li]
+        if thermal is not None and start > clocks[li]:
+            thermal.advance(0.0, start - clocks[li])  # idle: device cools
+        size = len(batch)
+        # Spike check counts the in-flight batch: it was popped already but
+        # it is still unserved work.  Every queued or parked request has
+        # arrived by ``start`` (see above), so the backlog is their count.
+        spike = len(ca) + len(ba) + len(waiting) + size > emergency_backlog
+        if start >= next_decision[li] or spike:
+            obs = lane.observe(
+                start, trace, window_s, slo_s, battery_budget_j, battery_spent
+            )
+            configs[li] = policies[li].select(obs)
+            ndecision_acc[li] += 1
+            if recorder is not None:
+                recorder.count(decisions_name)
+            next_decision[li] = start + window_s
+        active = configs[li]
+        if thermal is not None and thermal.throttled:
+            active = lane.coolest  # hardware throttle overrides the policy
+            nthrottle_acc[li] += 1
+            if recorder is not None:
+                recorder.count(throttled_name)
+        if recorder is not None:
+            recorder.count(batches_name)
+            if routed:
+                recorder.count(lane_counter[li])
+            recorder.observe(size_name, size)
+
+        # The active config changes only at governor decisions, so the
+        # usage tally and compiled lookup run cached between changes and
+        # flush on switch (and once at fold-back).
+        if active is last_active[li]:
+            last_count[li] += 1
+            compiled = last_compiled[li]
+        else:
+            prev = last_active[li]
+            if prev is not None:
+                usage = usages[li]
+                usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
+            last_active[li] = active
+            last_count[li] = 1
+            compiled = compiled_maps[li].get(active.name)
+            if compiled is None:
+                compiled = lane.compiled_of(active, cstream, switch_cost_j)
+            if compiled._dec_req is None:
+                compiled.ensure_tables()
+            last_compiled[li] = compiled
+        latency, energy, switch = compiled.price_indices(batch, exit_lists[li])
+        switch_acc[li] += switch
+
+        end = start + latency
+        sf_extend(batch)
+        ss_append(size)
+        se_append(end)
+        group = correct_groups.get(id(compiled))
+        if group is None:
+            correct_groups[id(compiled)] = (compiled, list(batch))
+        else:
+            group[1].extend(batch)
+
+        energy_acc[li] += energy
+        busy_acc[li] += latency
+        battery_spent += energy
+        if has_battery and battery_spent > battery_budget_j:
+            battery_exhausted = True
+        if thermal is not None and latency > 0:
+            thermal.advance(energy / latency, latency)
+        clocks[li] = end
+        t_free[li] = end
+        nbatch_acc[li] += 1
+        # Freed space re-admits parked requests first, ahead of any later
+        # arrival.
+        if waiting:
+            space = max_queue - len(ca) - len(ba)
+            while space > 0 and waiting:
+                i, arrival, critical = waiting.popleft()
+                if critical:
+                    cqs[li].append(i)
+                    ca.append(arrival)
+                    lane.critical_requests += 1
+                else:
+                    bqs[li].append(i)
+                    ba.append(arrival)
+                ridx_append[li](i)
+                space -= 1
+        depth[li] = len(ca) + len(ba)
+        # The popped heap entry is spent: always push the new pending.
+        if ca or ba:
+            expiry = (ca[0] if ca and (not ba or ca[0] <= ba[0]) else ba[0]) + timeout[li]
+            mb = max_batch[li]
+            if len(ca) + len(ba) >= mb:
+                t = _nth_arrival(ca, ba, mb)
+                trigger = t if t <= expiry else expiry
+            else:
+                trigger = expiry
+            nxt = end if end > trigger else trigger
+            pend[li] = nxt
+            heap_push(heap, (nxt, li))
+        else:
+            pend[li] = inf
+
+    # Arrival columns convert lazily per chunk: same Python floats as a
+    # full .tolist(), without ~24 MB of boxed floats resident at 10⁶.
+    chunk = 65536
+    li = 0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        a_chunk = times_np[lo:hi].tolist()
+        d_chunk = difficulty_np[lo:hi].tolist() if routed else None
+        c_chunk = slo_class_np[lo:hi].tolist()
+        last = hi - lo - 1
+        for k in range(hi - lo):
+            arrival = a_chunk[k]
+            slo_class = c_chunk[k]
+            if routed:
+                li = route_block(d_chunk[k], slo_class, arrival, state)
+                if recorder is not None:
+                    # One routing call per arrival: the perfbench catalog
+                    # reads these as blocks of size one.
+                    recorder.count("fleet.blocks")
+                    recorder.observe("fleet.block_size", 1)
+            routed_append[li](arrival)
+            critical = slo_class == LATENCY_CRITICAL
+            if admit(li, critical):
+                i = lo + k
+                ridx_append[li](i)
+                ca = cas[li]
+                ba = bas[li]
+                if critical:
+                    cqs[li].append(i)
+                    ca.append(arrival)
+                    lanes[li].critical_requests += 1
+                else:
+                    bqs[li].append(i)
+                    ba.append(arrival)
+                # A push moves the pending start only when it seeds an
+                # empty queue (timeout trigger) or fills a full batch — the
+                # newest arrival is then the max_batch-th queued one.
+                size = len(ca) + len(ba)
+                mb = max_batch[li]
+                if size == 1 or size == mb:
+                    expiry = (
+                        ca[0] if ca and (not ba or ca[0] <= ba[0]) else ba[0]
+                    ) + timeout[li]
+                    trigger = arrival if size == mb and arrival <= expiry else expiry
+                    tf = t_free[li]
+                    start = tf if tf > trigger else trigger
+                    if start != pend[li]:
+                        pend[li] = start
+                        heap_push(heap, (start, li))
+            elif defer:
+                parked[li].append((lo + k, arrival, critical))
+                lanes[li].num_deferred += 1
+            else:
+                lanes[li].num_dropped += 1
+
+            if k < last:
+                until = a_chunk[k + 1]
+            elif hi < n:
+                until = float(times_np[hi])
+            else:
+                until = inf
+            # Drain: dispatch every batch that starts before the next
+            # arrival, skipping entries whose lane pending has moved.
+            while heap:
+                start, lj = heap[0]
+                if start >= until:
+                    break
+                heap_pop(heap)
+                if pend[lj] != start:
+                    continue
+                # Form the batch at its dispatch instant: queued criticals
+                # that arrived by the start, then best-effort ones.
+                batch: list[int] = []
+                room = max_batch[lj]
+                if cas[lj]:
+                    room -= _take(cqs[lj], cas[lj], start, room, batch)
+                _take(bqs[lj], bas[lj], start, room, batch)
+                dispatch(lj, start, batch)
+
+    # Fold the hot-state accumulators back into the lane objects.
+    for li, lane in enumerate(lanes):
+        prev = last_active[li]
+        if prev is not None and last_count[li]:
+            usage = usages[li]
+            usage[prev.name] = usage.get(prev.name, 0) + last_count[li]
+        lane.config = configs[li]
+        lane.next_decision = next_decision[li]
+        lane.clock = clocks[li]
+        lane.t_free = t_free[li]
+        lane.energy_j = energy_acc[li]
+        lane.busy_s = busy_acc[li]
+        lane.switching_energy_j = switch_acc[li]
+        lane.num_batches = nbatch_acc[li]
+        lane.governor_decisions = ndecision_acc[li]
+        lane.throttled = nthrottle_acc[li]
+        lane.exit_counts += np.asarray(exit_lists[li], dtype=np.int64)
+
+    # One scatter for completion/correctness instead of per-batch writes.
+    if served_ends:
+        flat = np.asarray(served_flat, dtype=np.int64)
+        sizes = np.asarray(served_sizes, dtype=np.int64)
+        completion[flat] = np.repeat(np.asarray(served_ends), sizes)
+    for compiled, idx_list in correct_groups.values():
+        idx = np.asarray(idx_list, dtype=np.int64)
+        correct[idx] = compiled.correct[idx]
+    return battery_spent, battery_exhausted
+
+
 class ServingSimulator:
     """Replays one trace through one policy on one simulated device.
 
-    Latency-critical requests dispatch first within each batch window, so
-    on mixed-class traffic (0 < ``critical_fraction`` < 1) this simulator
-    and a one-lane :class:`~repro.serving.fleet.FleetSimulator`, whose lane
-    queues are FIFO, serve different schedules.
+    Queue-free input (no ``admission`` policy, no latency-critical
+    requests) runs on the span path.  Any other input needs a queue and runs
+    on the lane loop with one lane and no router (:func:`serve_lanes`):
+    latency-critical requests dispatch first within each batch window, and
+    the admission gate drops or defers.  A one-lane
+    :class:`~repro.serving.fleet.FleetSimulator` serves the same schedule.
 
     Parameters
     ----------
@@ -402,7 +991,6 @@ class ServingSimulator:
             temperature_c=thermal.temperature_c if thermal else 0.0,
             power_cap_w=power_cap,
             energy_cap_j=energy_cap,
-            critical_backlog=batcher.critical_backlog_at(now_s),
         )
 
     def _initial_config(self, trace: Trace) -> RuntimeConfig:
@@ -454,21 +1042,66 @@ class ServingSimulator:
                 f"placement expects {self.placement.num_exits}; the mounted "
                 "logits stream and exit placement must describe the same DyNN"
             )
-        thermal = (
-            ThermalState(self.scenario.thermal, self._max_power_w)
-            if self.scenario.thermal is not None
-            else None
-        )
-        state = self._serve(trace, stream, thermal)
+        if self.admission is not None or trace.num_critical:
+            thermal, state = self._serve_lane(trace, stream)
+        else:
+            thermal = (
+                ThermalState(self.scenario.thermal, self._max_power_w)
+                if self.scenario.thermal is not None
+                else None
+            )
+            state = self._serve(trace, stream, thermal)
         return self._build_report(trace, thermal, state, platform, model, seed)
+
+    def _serve_lane(
+        self, trace: Trace, stream: ServingStream
+    ) -> tuple[ThermalState | None, _RunState]:
+        """Queued input: the lane loop over one lane, without a router."""
+        lane = Lane(
+            0, self.policy, self.evaluator, self.placement, self.ladder, self.batch_policy
+        )
+        lane.begin(self.scenario, trace.mean_rate_hz, self.window_s, self.slo_s)
+        tracing.count("serving.governor_decisions")
+        n = trace.num_requests
+        completion = np.full(n, np.nan)
+        correct = np.zeros(n, dtype=bool)
+        with gc_paused():
+            battery_spent, battery_exhausted = serve_lanes(
+                [lane],
+                trace,
+                compile_stream(stream),
+                completion,
+                correct,
+                window_s=self.window_s,
+                slo_s=self.slo_s,
+                emergency_backlog=self.emergency_backlog,
+                switch_cost_j=self.switch_cost_j,
+                battery_budget_j=self.battery_budget_j,
+                admission=self.admission,
+            )
+        return lane.thermal, _RunState(
+            completion=completion,
+            correct=correct,
+            exit_counts=lane.exit_counts,
+            total_energy=lane.energy_j,
+            switching_energy=lane.switching_energy_j,
+            battery_spent=battery_spent,
+            battery_exhausted=battery_exhausted,
+            num_batches=lane.num_batches,
+            throttled=lane.throttled,
+            governor_decisions=lane.governor_decisions,
+            num_dropped=lane.num_dropped,
+            num_deferred=lane.num_deferred,
+            config_usage=lane.config_usage,
+        )
 
     def _serve(
         self, trace: Trace, stream: ServingStream, thermal: ThermalState | None
     ) -> _RunState:
-        """The vectorized event core: ArrayBatcher + compiled executor."""
+        """The span path: ArrayBatcher ranges + compiled executor."""
         n = trace.num_requests
         arrivals = trace.arrival_s
-        batcher = ArrayBatcher(trace, self.batch_policy, self.admission)
+        batcher = ArrayBatcher(trace, self.batch_policy)
         cstream = compile_stream(stream)
         compiled: dict[str, _CompiledConfig] = {}
 
@@ -489,7 +1122,6 @@ class ServingSimulator:
         completion = state.completion
         correct = state.correct
         exit_counts = state.exit_counts
-        use_span = batcher.contiguous
         clock = 0.0
         t_free = 0.0
         config = self._initial_config(trace)
@@ -508,18 +1140,17 @@ class ServingSimulator:
         battery_budget = self.battery_budget_j
         config_usage = state.config_usage
         backlog_at = batcher.backlog_at
+        next_span = batcher.next_span
         num_batches = 0
         total_energy = 0.0
         battery_spent = 0.0
         switching_energy = 0.0
-        # Span-mode writes of `correct`/`exit_counts` are flushed per *run*
-        # of consecutive batches priced by the same compiled config — one
+        # Writes of `correct`/`exit_counts` are flushed per *run* of
+        # consecutive batches priced by the same compiled config — one
         # slice copy and one bincount per config stretch instead of per
         # batch (a static nominal run flushes exactly once).
         run_cc: _CompiledConfig | None = None
         run_lo = run_hi = 0
-        # Queue-mode exit tallies, counted by the pricer and folded in once.
-        queue_counts = [0] * len(exit_counts)
 
         def flush_run() -> None:
             if run_cc is not None and run_hi > run_lo:
@@ -529,19 +1160,9 @@ class ServingSimulator:
                 )
                 np.add(exit_counts, counts, out=exit_counts)
 
-        while True:
-            if use_span:
-                formed = batcher.next_span(t_free)
-            else:
-                formed = batcher.next_batch(t_free)
-            if formed is None:
-                break
-            if use_span:
-                start, lo, hi = formed
-                size = hi - lo
-            else:
-                start, indices = formed
-                size = len(indices)
+        while (formed := next_span(t_free)) is not None:
+            start, lo, hi = formed
+            size = hi - lo
             if thermal is not None and start > clock:
                 thermal.advance(0.0, start - clock)  # idle: device cools
             # Spike check counts the in-flight batch: the batcher already
@@ -573,20 +1194,13 @@ class ServingSimulator:
             cc = compiled_of(active)
             if cc._dec_req is None:
                 cc.ensure_tables()
-            if use_span:
-                latency, energy, switch = cc.price_span(lo, hi)
-                if cc is run_cc and lo == run_hi:
-                    run_hi = hi
-                else:
-                    flush_run()
-                    run_cc, run_lo, run_hi = cc, lo, hi
-                completion[lo:hi] = start + latency
+            latency, energy, switch = cc.price_span(lo, hi)
+            if cc is run_cc and lo == run_hi:
+                run_hi = hi
             else:
-                latency, energy, switch = cc.price_indices(
-                    indices.tolist(), queue_counts
-                )
-                completion[indices] = start + latency
-                correct[indices] = cc.correct[indices]
+                flush_run()
+                run_cc, run_lo, run_hi = cc, lo, hi
+            completion[lo:hi] = start + latency
             switching_energy += switch
 
             end = start + latency
@@ -601,13 +1215,10 @@ class ServingSimulator:
             num_batches += 1
 
         flush_run()
-        np.add(exit_counts, queue_counts, out=exit_counts)
         state.num_batches = num_batches
         state.total_energy = total_energy
         state.battery_spent = battery_spent
         state.switching_energy = switching_energy
-        state.num_dropped = batcher.num_dropped
-        state.num_deferred = batcher.num_deferred
         return state
 
     def _build_report(

@@ -5,10 +5,14 @@ per-batch :func:`execute_batch`), the fleet's per-request scalar loop with
 its lane queue, and the routers' scalar ``route`` methods are the
 executable specification the production serving engines in
 ``src/repro/serving`` were derived from.  Their bodies are kept here
-verbatim, with two changes: the batch sums add left to right (Python
+verbatim, with three changes: the batch sums add left to right (Python
 3.12's builtin ``sum`` compensates float rounding, which would make these
-references depend on the interpreter), and the difficulty-aware router's
-band cache is gone (a router serves the one fleet it was built for).
+references depend on the interpreter), the difficulty-aware router's
+band cache is gone (a router serves the one fleet it was built for), and
+a fleet lane's batch takes its arrived latency-critical requests first
+(the single device's rule, which the fleet adopted when both moved onto
+one queue model).  The fleet lane keeps its own FIFO queue and arrival
+books, which the production lane replaced with one queue per class.
 
 The serving tests and ``benchmarks/bench_fleet_scale.py`` compare
 production against this code, and ``tests/test_oracles.py`` pins its
@@ -387,7 +391,49 @@ def scalar_router(router: FleetRouter) -> FleetRouter:
 
 class ReferenceDeviceLane(DeviceLane):
     """:class:`DeviceLane` with the reference loop's explicit queue methods
-    and the scalar routers' wait estimate."""
+    and the scalar routers' wait estimate.
+
+    The queue holds request *indices* in one FIFO by arrival, with each
+    one's class; arrival bookkeeping is an append-only sorted list plus pop
+    counters, so :meth:`backlog_at` is a bisect.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._reset_queue()
+
+    def _reset_queue(self) -> None:
+        # Live queue: routed-but-undispatched request indices, FIFO by arrival.
+        self._queue: deque[int] = deque()
+        self._queue_arrivals: deque[float] = deque()
+        self._queue_critical: deque[bool] = deque()
+        # Append-only arrival books (sorted: requests route in arrival order).
+        self._admitted_times: list[float] = []  # admitted arrivals ever
+        self._crit_times: list[float] = []  # admitted latency-critical arrivals
+        self._popped = 0  # dispatched prefix of _admitted_times
+        self._crit_popped = 0  # dispatched prefix of _crit_times
+
+    @property
+    def queue_depth(self) -> int:
+        return len(self._queue)
+
+    def backlog_at(self, now_s: float) -> int:
+        """Routed requests that have arrived but not dispatched by ``now_s``.
+
+        Dispatch pops only arrivals ≤ the dispatch instant, so at any
+        observation time the simulator uses (a batch start or later) the
+        count is exactly (admitted arrivals ≤ now) − (popped); querying an
+        earlier instant clamps at zero.
+        """
+        popped = self._popped
+        return max(bisect_right(self._admitted_times, now_s, popped) - popped, 0)
+
+    def critical_backlog_at(self, now_s: float) -> int:
+        """Latency-critical share of :meth:`backlog_at`."""
+        if not self._crit_times:
+            return 0
+        popped = self._crit_popped
+        return max(bisect_right(self._crit_times, now_s, popped) - popped, 0)
 
     def estimated_wait_s(self, now_s: float) -> float:
         """Residual busy time plus queued work at reference capacity."""
@@ -397,6 +443,7 @@ class ReferenceDeviceLane(DeviceLane):
     def push(self, index: int, arrival_s: float, critical: bool) -> None:
         self._queue.append(index)
         self._queue_arrivals.append(arrival_s)
+        self._queue_critical.append(critical)
         self._admitted_times.append(arrival_s)
         self._routed_times.append(arrival_s)
         self.request_indices.append(index)
@@ -448,20 +495,25 @@ class ReferenceDeviceLane(DeviceLane):
         if start is None or start >= until_s:
             return None  # empty, or the fleet clock has not reached it yet
         policy = self.stack.batch_policy
-        size = 0
+        arrived = 0
         for arrival in self._queue_arrivals:
-            if size >= policy.max_batch or arrival > start:
+            if arrival > start:
                 break
-            size += 1
-        batch = [self._queue.popleft() for _ in range(size)]
-        crit_times = self._crit_times
-        crit_popped = self._crit_popped
-        for _ in range(size):
-            arrival = self._queue_arrivals.popleft()
-            if crit_popped < len(crit_times) and crit_times[crit_popped] <= arrival:
-                crit_popped += 1
-        self._popped += size
-        self._crit_popped = crit_popped
+            arrived += 1
+        # Critical-first: the arrived latency-critical requests, then the
+        # arrived best-effort ones, each in arrival order, up to max_batch.
+        entries = list(zip(self._queue, self._queue_arrivals, self._queue_critical))
+        order = [k for k in range(arrived) if entries[k][2]]
+        order += [k for k in range(arrived) if not entries[k][2]]
+        chosen = order[: policy.max_batch]
+        batch = [entries[k][0] for k in chosen]
+        taken = set(chosen)
+        rest = [entry for k, entry in enumerate(entries) if k not in taken]
+        self._queue = deque(index for index, _, _ in rest)
+        self._queue_arrivals = deque(arrival for _, arrival, _ in rest)
+        self._queue_critical = deque(critical for _, _, critical in rest)
+        self._popped += len(chosen)
+        self._crit_popped += sum(1 for k in chosen if entries[k][2])
         return start, batch
 
 
@@ -472,6 +524,7 @@ class ReferenceFleetSimulator(FleetSimulator):
         super().__init__(*args, **kwargs)
         for lane in self.lanes:
             lane.__class__ = ReferenceDeviceLane
+            lane._reset_queue()
 
     def _serve(
         self,

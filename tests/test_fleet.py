@@ -21,6 +21,8 @@ from repro.serving.deploy import (
     save_design,
 )
 from repro.serving.fleet import (
+    FleetReport,
+    FleetSimulator,
     FleetSpec,
     build_fleet_stacks,
     build_fleet_trace_and_stream,
@@ -36,8 +38,13 @@ from repro.serving.router import (
     RoundRobinRouter,
     make_router,
 )
-from repro.serving.telemetry import render_fleet_report, render_router_comparison
-from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL
+from repro.serving.simulator import _CompiledConfig
+from repro.serving.telemetry import (
+    ServingReport,
+    render_fleet_report,
+    render_router_comparison,
+)
+from repro.serving.workload import BEST_EFFORT, LATENCY_CRITICAL, Request, Trace
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +164,8 @@ class TestFleetSpec:
 
 # -------------------------------------------------------------- lane batching
 class TestDeviceLane:
-    """Lane batching through the reference queue methods, read back through
-    the production backlog meters."""
+    """Lane batching through the reference lane's queue methods and backlog
+    meters."""
 
     @pytest.fixture(scope="class")
     def stack(self):
@@ -511,6 +518,34 @@ def test_specs_reject_bad_window_and_batching(fleet, field, value, capsys):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fleet", [False, True], ids=["single", "fleet"])
+@pytest.mark.parametrize(
+    "field,value",
+    [("num_exits", 0), ("model", "zz"), ("num_classes", 1), ("calibration_samples", 0)],
+)
+def test_specs_reject_bad_model_settings(fleet, field, value, capsys):
+    """Both specs reject a model they could not mount at construction: a
+    fleet spec applies the single-device spec's rules to its members, so
+    both ``serve`` paths fail through ``parser.error``, not inside the
+    sweep."""
+    from repro.__main__ import main
+
+    with pytest.raises(ValueError, match=field):
+        if fleet:
+            FleetSpec(platforms=("tx2-gpu",), **{field: value})
+        else:
+            ServingSpec(**{field: value})
+    if field not in ("num_exits", "model"):
+        return  # no CLI flag
+    argv = ["serve", "--duration-s", "0.5", f"--{field.replace('_', '-')}={value}"]
+    if fleet:
+        argv += ["--fleet", "tx2-gpu"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert field in capsys.readouterr().err
+
+
 # ------------------------------------------------------------- cache codec
 class TestFleetCache:
     def test_fleet_report_json_round_trip(self, tmp_path):
@@ -709,32 +744,35 @@ class TestBandCache:
 
 # ------------------------------------------------------------ one-lane law
 class TestOneLaneLaw:
-    """A one-platform fleet serves the same load as the single-device
-    simulator.
+    """A one-platform fleet serves exactly the single-device schedule.
 
-    Single-class cells only (``critical_fraction`` 0 or 1): the single
-    device dispatches latency-critical requests first within each batch
-    window, while a fleet lane is FIFO, so the two engines differ whenever
-    0 < ``critical_fraction`` < 1 (10 of 10 mixed-class cells diverged when
-    last measured).  Drop mode only: fleet admission is drop-only.  Energy
-    and latency agree to rel 1e-9 rather than bit for bit because the two
-    engines add batch energies in different orders.
+    Both run the lane loop, so the two reports agree bit for bit on every
+    field they share, across class mixes, admission caps and scenarios.
+    Drop mode only: fleet admission is drop-only, while ``defer`` exists
+    on the single device alone.
     """
 
-    @settings(max_examples=10, deadline=None)
+    SHARED = sorted(
+        {f.name for f in dataclasses.fields(FleetReport)}
+        & {f.name for f in dataclasses.fields(ServingReport)}
+    )
+
+    @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
         pattern=st.sampled_from(("poisson", "bursty")),
         policy=st.sampled_from(("static", "adaptive")),
-        crit=st.sampled_from((0.0, 1.0)),
+        crit=st.sampled_from((0.0, 0.25, 1.0)),
         max_queue=st.sampled_from((None, 3, 8)),
+        scenario=st.sampled_from(("nominal", "thermal-cap", "battery-budget")),
     )
     def test_one_lane_fleet_matches_single_device(
-        self, seed, pattern, policy, crit, max_queue
+        self, seed, pattern, policy, crit, max_queue, scenario
     ):
         load = dict(
             pattern=pattern,
             policy=policy,
+            scenario=scenario,
             seed=seed,
             duration_s=2.0,
             utilization=0.95,
@@ -747,20 +785,41 @@ class TestOneLaneLaw:
         single = run_serving_cell(
             ServingSpec(platform="tx2-gpu", admission_mode="drop", **load)
         )
-        assert fleet.num_requests == single.num_requests
-        assert fleet.num_served == single.num_served
-        assert fleet.num_dropped == single.num_dropped
-        for name, stats in single.class_stats.items():
-            for count in ("num_requests", "num_served", "num_dropped"):
-                assert fleet.class_stats[name][count] == stats[count]
-        assert fleet.exit_usage == single.exit_usage
-        for metric in (
-            "latency_ms_p50",
-            "latency_ms_p95",
-            "latency_ms_p99",
-            "total_energy_j",
-            "deadline_miss_rate",
-        ):
-            assert getattr(fleet, metric) == pytest.approx(
-                getattr(single, metric), rel=1e-9
-            ), metric
+        assert len(self.SHARED) >= 25
+        for name in self.SHARED:
+            assert getattr(fleet, name) == getattr(single, name), name
+
+
+class TestCriticalFirstLanes:
+    def test_critical_leaves_in_next_batch(self, monkeypatch):
+        """A latency-critical request queued behind ``max_batch``
+        best-effort ones leaves in the lane's next batch, ahead of them."""
+        spec = FleetSpec(
+            platforms=("tx2-gpu",), router="round_robin", max_batch=4, duration_s=1.0
+        )
+        stacks = build_fleet_stacks(spec)
+        # Batch 1 fills at t=0; while it is served, four best-effort
+        # requests and then one latency-critical request queue up.
+        times = [0.0] * 4 + [0.001, 0.002, 0.003, 0.004, 0.005]
+        requests = [
+            Request(index=i, arrival_s=t, difficulty=0.5) for i, t in enumerate(times)
+        ]
+        requests[-1] = Request(
+            index=8, arrival_s=0.005, difficulty=0.5, slo_class=LATENCY_CRITICAL
+        )
+        trace = Trace.from_requests("replay", requests, duration_s=1.0)
+        stream = stacks[0].synthesizer.synthesize(trace.difficulties())
+
+        batches = []
+        price = _CompiledConfig.price_indices
+
+        def spy(self, indices, counts):
+            batches.append(list(indices))
+            return price(self, indices, counts)
+
+        monkeypatch.setattr(_CompiledConfig, "price_indices", spy)
+        report = FleetSimulator(spec, stacks).run(trace, stream)
+        assert report.num_served == len(times)
+        assert batches[0] == [0, 1, 2, 3]
+        assert batches[1] == [8, 4, 5, 6]
+        assert batches[2] == [7]

@@ -83,8 +83,8 @@ FLEET_DIGESTS = {
 #: Names that must never reappear in ``src/repro``: the search-kernel
 #: flags, the reference bodies they selected, the per-part cost lowering,
 #: the serving reference engines with their ``engine=`` option, which
-#: live only here, and the per-setting cost tables the stacked cost store
-#: replaced.
+#: live only here, the per-setting cost tables the stacked cost store
+#: replaced, and the single-device queue mode the lane loop replaced.
 RETIRED_NAMES = frozenset({
     "use_tables",
     "use_population_kernel",
@@ -127,6 +127,10 @@ RETIRED_NAMES = frozenset({
     "BranchTerms",
     "branch_provider",
     "repro.hardware.cost_table",
+    "admit_prefix",
+    "_gate",
+    "_fill_arrival",
+    "_next_batch_queued",
 })
 
 SRC_ROOT = Path(__file__).resolve().parents[1] / "src" / "repro"

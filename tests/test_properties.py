@@ -310,9 +310,9 @@ class TestBatcherLaws:
 
         batcher = ArrayBatcher(trace, policy)
         t_free, out = 0.0, []
-        while (formed := batcher.next_batch(t_free)) is not None:
-            start, indices = formed
-            out.append((start, list(indices)))
+        while (formed := batcher.next_span(t_free)) is not None:
+            start, lo, hi = formed
+            out.append((start, list(range(lo, hi))))
             t_free = start + service_s
         return out
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -620,6 +621,72 @@ class TestEngineEquivalence:
         assert trace.arrival_s[-1] == 86_400.0
 
 
+#: Single-device reports of queued input (admission control and/or
+#: latency-critical traffic), recorded while ``ArrayBatcher``'s queue mode
+#: still served it: (scenario, pattern, policy, critical fraction,
+#: admission cap, admission mode) -> report digest.
+QUEUED_DIGESTS = {
+    ("nominal", "poisson", "static", 0.25, None, "drop"): "61a38284d1d190488f489bf659b62021",
+    ("nominal", "poisson", "static", 0.0, 4, "drop"): "2e844b1971b62ce34cde2f67203925d9",
+    ("nominal", "poisson", "static", 0.25, 4, "drop"): "552d78993e1d7f2bce59b4bcc54c04fc",
+    ("nominal", "poisson", "static", 1.0, 3, "drop"): "6ac4c8e9a5081474ffcdc38c46e1ed72",
+    ("nominal", "poisson", "static", 0.0, 6, "defer"): "d4d597212816e75ee32ef79768906fd6",
+    ("nominal", "poisson", "static", 0.25, 6, "defer"): "681986bbe9492059648def28964304b4",
+    ("nominal", "poisson", "adaptive", 0.25, None, "drop"): "a6ac097264a039061cd2937e823670b7",
+    ("nominal", "poisson", "adaptive", 0.0, 4, "drop"): "a4421ee2fd1729ad81bac511959f5acd",
+    ("nominal", "poisson", "adaptive", 0.25, 4, "drop"): "a6e92082d747cb6cc82242e3052735ce",
+    ("nominal", "poisson", "adaptive", 1.0, 3, "drop"): "899de99b1209cf7fa5436e1ac5a5be11",
+    ("nominal", "poisson", "adaptive", 0.0, 6, "defer"): "a3e07ab2a63ffe3b83f954886fc1508c",
+    ("nominal", "poisson", "adaptive", 0.25, 6, "defer"): "4ac1c5988a74cc2cbde363da8a4f86fe",
+    ("nominal", "bursty", "static", 0.25, None, "drop"): "fd9f3f2d4a30e89127e9c42d4b2989e3",
+    ("nominal", "bursty", "static", 0.0, 4, "drop"): "4fecafad575f190acfdb3737a40e8344",
+    ("nominal", "bursty", "static", 0.25, 4, "drop"): "916fd4e096fee45ee1fa2d8250bdfb1a",
+    ("nominal", "bursty", "static", 1.0, 3, "drop"): "b2f6ac0a7431103ef4f5e6e1ef689291",
+    ("nominal", "bursty", "static", 0.0, 6, "defer"): "c296777e3466293db699ef1a807a9b81",
+    ("nominal", "bursty", "static", 0.25, 6, "defer"): "247ffd784b2336d739c4648faafd1b53",
+    ("nominal", "bursty", "adaptive", 0.25, None, "drop"): "4d13940a7cc6b7b3dc00ba9a3989d66a",
+    ("nominal", "bursty", "adaptive", 0.0, 4, "drop"): "744006cccb12a46ffd77d4246613f2a2",
+    ("nominal", "bursty", "adaptive", 0.25, 4, "drop"): "a37b79a10af9288ec756852d5c034121",
+    ("nominal", "bursty", "adaptive", 1.0, 3, "drop"): "3146f3a3de17bf6a543e581fb2a978b4",
+    ("nominal", "bursty", "adaptive", 0.0, 6, "defer"): "d20b85d150b72a8ff7082a6ea4dc2e9d",
+    ("nominal", "bursty", "adaptive", 0.25, 6, "defer"): "5fe6abd41a0bb949c195e05783a89623",
+    ("thermal-cap", "bursty", "adaptive", 0.25, 4, "drop"): "e2c747df4178604a79c6b7f02f13a383",
+    ("battery-budget", "bursty", "adaptive", 0.25, 4, "drop"): "7c21bf5a3047213eb4855241eb6469e2",
+}
+
+
+def _report_digest(report) -> str:
+    """blake2b of a report's fields as JSON (shortest round-trip floats)."""
+    text = json.dumps(dataclasses.asdict(report))
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
+
+
+class TestQueuedGoldenDigests:
+    """Admission-gated and SLO-class single-device runs, pinned bit for bit.
+
+    Overloaded cells (utilization 1.2), so the admission cap drops or
+    defers, bursts trip the backlog-spike re-decision, and full batches
+    trigger on fill.
+    """
+
+    @pytest.mark.parametrize("cell", list(QUEUED_DIGESTS), ids=str)
+    def test_report_digest(self, cell):
+        scenario, pattern, policy, crit, max_queue, mode = cell
+        report = run_serving_cell(
+            ServingSpec(
+                pattern=pattern,
+                policy=policy,
+                scenario=scenario,
+                duration_s=6.0,
+                utilization=1.2,
+                critical_fraction=crit,
+                admission_max_queue=max_queue,
+                admission_mode=mode,
+            )
+        )
+        assert _report_digest(report) == QUEUED_DIGESTS[cell]
+
+
 class TestAdmissionAndSloClasses:
     """Admission control and latency-class serving on the indexed engine."""
 
@@ -668,6 +735,26 @@ class TestAdmissionAndSloClasses:
         best = report.class_stats["best_effort"]
         assert crit["num_served"] > 20 and best["num_served"] > 20
         assert crit["latency_ms_p95"] <= best["latency_ms_p95"]
+
+    def test_queued_input_takes_any_ladder(self, stack):
+        """Queued input runs on a lane without a router, so it needs no
+        ``-balanced`` reference rung: any one-config ladder serves."""
+        from repro.serving.batcher import AdmissionPolicy
+
+        trace = make_trace("bursty", stack.rate_hz, 3.0, seed=3, critical_fraction=0.3)
+        stream = stack.synthesizer.synthesize(trace.difficulties())
+        config = next(c for c in stack.ladder if c.name.endswith("-perf"))
+        report = ServingSimulator(
+            evaluator=stack.evaluator,
+            placement=stack.placement,
+            policy=StaticPolicy(config),
+            ladder=[config],
+            scenario=stack.scenario,
+            slo_s=0.075,
+            admission=AdmissionPolicy(max_queue=3, mode="defer"),
+        ).run(trace, stream)
+        assert report.num_served == report.num_requests
+        assert report.num_deferred > 0
 
 
 # ------------------------------------------------------------ conservation
