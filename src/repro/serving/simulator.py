@@ -247,12 +247,11 @@ class _CompiledConfig:
     ) -> tuple[float, float, float]:
         """:meth:`price_span` for an explicit request-index batch.
 
-        Lane-loop batches are not contiguous, so this is
-        :meth:`price_span` generalised to an index list, off the same
-        Python-float tables: sequential left-to-right sums and a strict
-        first-maximum.  It also tallies the batch's per-exit decisions into
-        ``counts`` (the exit usage meters).  Call :meth:`ensure_tables`
-        first.
+        Lane-loop batches are not contiguous, so this is :meth:`price_span`
+        generalised to an index list, off the same Python-float tables:
+        sequential left-to-right sums and a strict first-maximum.  It also
+        tallies the batch's per-exit decisions into ``counts`` (the exit
+        usage meters).  Call :meth:`ensure_tables` first.
         """
         dec = self._dec_req
         if len(indices) == 1:
